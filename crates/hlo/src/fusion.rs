@@ -6,16 +6,25 @@
 //! lowering pass then emits the fused VPU work in the producer's step
 //! chain with no intermediate DMA.
 
-use std::collections::HashMap;
-
 use crate::graph::{Graph, HloOp, OpId};
 
 /// The result of the fusion pass.
-#[derive(Debug, Clone, PartialEq, Eq, Default)]
+#[derive(Debug, Clone, Default)]
 pub struct FusionMap {
-    /// Maps a fused node to the matrix op it was folded into.
-    fused_into: HashMap<OpId, OpId>,
+    /// Indexed by node id: the matrix op the node was folded into.
+    /// Ids past the end are unfused.
+    fused_into: Vec<Option<OpId>>,
 }
+
+/// Maps are equal when they hold the same entries, however far their
+/// storage extends past the last fused id.
+impl PartialEq for FusionMap {
+    fn eq(&self, other: &FusionMap) -> bool {
+        self.entries().eq(other.entries())
+    }
+}
+
+impl Eq for FusionMap {}
 
 impl FusionMap {
     /// Assembles a map directly from `(fused node, root)` entries, with
@@ -25,41 +34,47 @@ impl FusionMap {
     /// clusters; anything built this way must pass
     /// [`Verifier::verify_fusion`](crate::verify::Verifier::verify_fusion).
     pub fn from_entries(entries: &[(OpId, OpId)]) -> FusionMap {
-        FusionMap {
-            fused_into: entries.iter().copied().collect(),
+        let len = entries
+            .iter()
+            .map(|(n, _)| n.index() + 1)
+            .max()
+            .unwrap_or(0);
+        let mut fused_into = vec![None; len];
+        for &(node, root) in entries {
+            fused_into[node.index()] = Some(root);
         }
+        FusionMap { fused_into }
     }
 
     /// The root producer a node was fused into, if any.
     pub fn root_of(&self, id: OpId) -> Option<OpId> {
-        self.fused_into.get(&id).copied()
+        self.fused_into.get(id.index()).copied().flatten()
     }
 
-    /// Iterates `(fused node, root)` entries in unspecified order.
+    /// Iterates `(fused node, root)` entries in fused-node id order.
     pub fn entries(&self) -> impl Iterator<Item = (OpId, OpId)> + '_ {
-        self.fused_into.iter().map(|(k, v)| (*k, *v))
+        self.fused_into
+            .iter()
+            .enumerate()
+            .filter_map(|(i, root)| root.map(|r| (OpId::from_raw(i as u32), r)))
     }
 
     /// Whether a node was fused away (emits no standalone steps).
     pub fn is_fused(&self, id: OpId) -> bool {
-        self.fused_into.contains_key(&id)
+        self.root_of(id).is_some()
     }
 
     /// Number of fused nodes.
     pub fn fused_count(&self) -> usize {
-        self.fused_into.len()
+        self.fused_into.iter().flatten().count()
     }
 
     /// Nodes fused into `root`, in id order.
     pub fn cluster_of(&self, root: OpId) -> Vec<OpId> {
-        let mut v: Vec<OpId> = self
-            .fused_into
-            .iter()
-            .filter(|(_, r)| **r == root)
-            .map(|(k, _)| *k)
-            .collect();
-        v.sort_unstable();
-        v
+        self.entries()
+            .filter(|&(_, r)| r == root)
+            .map(|(n, _)| n)
+            .collect()
     }
 }
 
@@ -75,8 +90,15 @@ impl FusionMap {
 /// Graph outputs can be fused: the fused chain's result is what gets
 /// written out.
 pub fn fuse(graph: &Graph) -> FusionMap {
-    let consumers = graph.consumers();
-    let mut map = FusionMap::default();
+    let mut uses = vec![0u32; graph.nodes().len()];
+    for node in graph.nodes() {
+        for operand in node.op.operands() {
+            uses[operand.index()] += 1;
+        }
+    }
+    let mut map = FusionMap {
+        fused_into: vec![None; graph.nodes().len()],
+    };
     for node in graph.nodes() {
         if !node.op.is_fusible_consumer() {
             continue;
@@ -96,14 +118,14 @@ pub fn fuse(graph: &Graph) -> FusionMap {
         };
         let Some(root) = root else { continue };
         // No fan-out from the main operand.
-        if consumers[main.index()].len() != 1 {
+        if uses[main.index()] != 1 {
             continue;
         }
         // Secondary operands (e.g. the residual in a binary add) must be
         // cheap to stream: parameters, constants or other finished nodes
         // are fine in this model — we only require they are not *this*
         // cluster (which would be a cycle).
-        map.fused_into.insert(node.id, root);
+        map.fused_into[node.id.index()] = Some(root);
     }
     map
 }
@@ -134,6 +156,23 @@ mod tests {
         assert!(!f.is_fused(d));
         assert_eq!(f.fused_count(), 2);
         assert_eq!(f.cluster_of(d), vec![r, s]);
+    }
+
+    #[test]
+    fn maps_compare_by_entries_and_iterate_in_id_order() {
+        let (g, d, r, s) = dot_chain();
+        let fused = fuse(&g);
+        // Listed out of order, and stored only up to the last fused id.
+        let built = FusionMap::from_entries(&[(s, d), (r, d)]);
+        assert_eq!(fused, built);
+        assert_eq!(built.entries().collect::<Vec<_>>(), vec![(r, d), (s, d)]);
+        assert_ne!(fused, FusionMap::from_entries(&[(r, d)]));
+        // An empty analysis equals the default map, whatever its length.
+        let mut plain = Graph::new("t", DType::Bf16);
+        let x = plain.parameter(&[2, 2]).unwrap();
+        plain.mark_output(x);
+        assert_eq!(fuse(&plain), FusionMap::default());
+        assert_eq!(fused.root_of(OpId::from_raw(1000)), None);
     }
 
     #[test]

@@ -1,6 +1,7 @@
 //! The HLO graph IR: ops, nodes, builder with shape inference.
 
 use std::fmt;
+use std::ops::Deref;
 
 use tpu_numerics::activation::Activation;
 use tpu_numerics::DType;
@@ -147,21 +148,59 @@ pub enum HloOp {
     },
 }
 
+/// The operand ids of one op, in operand order, held inline (no op has
+/// more than two). Derefs to `&[OpId]` and iterates by value.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct Operands {
+    /// Slots past `len` hold `OpId(0)`, so the derived `PartialEq`
+    /// compares only live ids.
+    ids: [OpId; 2],
+    len: u8,
+}
+
+impl Operands {
+    fn of(ids: &[OpId]) -> Operands {
+        let mut inline = [OpId(0); 2];
+        inline[..ids.len()].copy_from_slice(ids);
+        Operands {
+            ids: inline,
+            len: ids.len() as u8,
+        }
+    }
+}
+
+impl Deref for Operands {
+    type Target = [OpId];
+
+    fn deref(&self) -> &[OpId] {
+        &self.ids[..self.len as usize]
+    }
+}
+
+impl IntoIterator for Operands {
+    type Item = OpId;
+    type IntoIter = std::iter::Take<std::array::IntoIter<OpId, 2>>;
+
+    fn into_iter(self) -> Self::IntoIter {
+        self.ids.into_iter().take(self.len as usize)
+    }
+}
+
 impl HloOp {
-    /// Operand ids of this op.
-    pub fn operands(&self) -> Vec<OpId> {
+    /// Operand ids of this op, in operand order.
+    pub fn operands(&self) -> Operands {
         match *self {
-            HloOp::Parameter | HloOp::Constant => Vec::new(),
-            HloOp::Dot { lhs, rhs } => vec![lhs, rhs],
-            HloOp::Conv2d { input, kernel, .. } => vec![input, kernel],
+            HloOp::Parameter | HloOp::Constant => Operands::of(&[]),
+            HloOp::Dot { lhs, rhs } => Operands::of(&[lhs, rhs]),
+            HloOp::Conv2d { input, kernel, .. } => Operands::of(&[input, kernel]),
             HloOp::Activate { input, .. }
             | HloOp::Softmax { input }
             | HloOp::LayerNorm { input }
             | HloOp::MaxPool2d { input, .. }
             | HloOp::Reshape { input }
-            | HloOp::GateReduce { input, .. } => vec![input],
-            HloOp::Binary { a, b, .. } | HloOp::BatchMatmul { a, b, .. } => vec![a, b],
-            HloOp::Embedding { table, .. } => vec![table],
+            | HloOp::GateReduce { input, .. } => Operands::of(&[input]),
+            HloOp::Binary { a, b, .. } | HloOp::BatchMatmul { a, b, .. } => Operands::of(&[a, b]),
+            HloOp::Embedding { table, .. } => Operands::of(&[table]),
         }
     }
 
@@ -358,8 +397,8 @@ impl Graph {
     }
 
     fn dot_shape(&self, lhs: OpId, rhs: OpId) -> Result<TensorShape, ShapeError> {
-        let ls = self.operand(lhs, "dot lhs")?.shape.clone();
-        let rs = self.operand(rhs, "dot rhs")?.shape.clone();
+        let ls = self.operand(lhs, "dot lhs")?.shape;
+        let rs = self.operand(rhs, "dot rhs")?.shape;
         if rs.rank() != 2 {
             return Err(ShapeError::BadRank {
                 context: "dot rhs",
@@ -374,9 +413,7 @@ impl Graph {
                 rhs: rs,
             });
         }
-        let mut dims = ls.dims().to_vec();
-        *dims.last_mut().expect("non-scalar") = rs.trailing();
-        TensorShape::new(&dims)
+        ls.with_trailing(rs.trailing())
     }
 
     /// Adds an NHWC conv with "same" padding.
@@ -403,8 +440,8 @@ impl Graph {
         kernel: OpId,
         stride: u64,
     ) -> Result<TensorShape, ShapeError> {
-        let is = self.operand(input, "conv2d input")?.shape.clone();
-        let ks = self.operand(kernel, "conv2d kernel")?.shape.clone();
+        let is = self.operand(input, "conv2d input")?.shape;
+        let ks = self.operand(kernel, "conv2d kernel")?.shape;
         if is.rank() != 4 {
             return Err(ShapeError::BadRank {
                 context: "conv2d input",
@@ -443,7 +480,7 @@ impl Graph {
     }
 
     fn unary_shape(&self, input: OpId, context: &'static str) -> Result<TensorShape, ShapeError> {
-        Ok(self.operand(input, context)?.shape.clone())
+        Ok(self.operand(input, context)?.shape)
     }
 
     /// Shorthand for ReLU.
@@ -467,8 +504,8 @@ impl Graph {
     }
 
     fn binary_shape(&self, a: OpId, b: OpId) -> Result<TensorShape, ShapeError> {
-        let sa = self.operand(a, "binary lhs")?.shape.clone();
-        let sb = self.operand(b, "binary rhs")?.shape.clone();
+        let sa = self.operand(a, "binary lhs")?.shape;
+        let sb = self.operand(b, "binary rhs")?.shape;
         if sa != sb {
             return Err(ShapeError::Mismatch {
                 context: "binary operands",
@@ -525,7 +562,7 @@ impl Graph {
         batch: u64,
         seq: u64,
     ) -> Result<TensorShape, ShapeError> {
-        let ts = self.operand(table, "embedding table")?.shape.clone();
+        let ts = self.operand(table, "embedding table")?.shape;
         if ts.rank() != 2 {
             return Err(ShapeError::BadRank {
                 context: "embedding table",
@@ -548,7 +585,7 @@ impl Graph {
     }
 
     fn max_pool2d_shape(&self, input: OpId, window: u64) -> Result<TensorShape, ShapeError> {
-        let is = self.operand(input, "maxpool input")?.shape.clone();
+        let is = self.operand(input, "maxpool input")?.shape;
         if is.rank() != 4 {
             return Err(ShapeError::BadRank {
                 context: "maxpool input",
@@ -574,7 +611,7 @@ impl Graph {
     }
 
     fn gate_reduce_shape(&self, input: OpId, factor: u64) -> Result<TensorShape, ShapeError> {
-        let is = self.operand(input, "gate_reduce input")?.shape.clone();
+        let is = self.operand(input, "gate_reduce input")?.shape;
         let factor = factor.max(1);
         if !is.trailing().is_multiple_of(factor) {
             return Err(ShapeError::Mismatch {
@@ -583,9 +620,7 @@ impl Graph {
                 rhs: TensorShape::new(&[factor])?,
             });
         }
-        let mut dims = is.dims().to_vec();
-        *dims.last_mut().expect("non-scalar") /= factor;
-        TensorShape::new(&dims)
+        is.with_trailing(is.trailing() / factor)
     }
 
     /// Adds a batched activation-by-activation matmul (`[batch, m, k] @
@@ -628,8 +663,8 @@ impl Graph {
         k: u64,
         n: u64,
     ) -> Result<TensorShape, ShapeError> {
-        let sa = self.operand(a, "batch_matmul lhs")?.shape.clone();
-        let sb = self.operand(b, "batch_matmul rhs")?.shape.clone();
+        let sa = self.operand(a, "batch_matmul lhs")?.shape;
+        let sb = self.operand(b, "batch_matmul rhs")?.shape;
         if sa.elements() != batch * m * k {
             return Err(ShapeError::Mismatch {
                 context: "batch_matmul lhs elements",
@@ -680,7 +715,7 @@ impl Graph {
     /// operands no longer satisfy the op's shape constraints.
     pub fn reinfer(&self, node: &Node) -> Result<TensorShape, ShapeError> {
         match node.op {
-            HloOp::Parameter | HloOp::Constant => Ok(node.shape.clone()),
+            HloOp::Parameter | HloOp::Constant => Ok(node.shape),
             HloOp::Dot { lhs, rhs } => self.dot_shape(lhs, rhs),
             HloOp::Conv2d {
                 input,
@@ -708,7 +743,7 @@ impl Graph {
                 if to != from {
                     return Err(ShapeError::ElementCountChanged { from, to });
                 }
-                Ok(node.shape.clone())
+                Ok(node.shape)
             }
         }
     }
@@ -796,17 +831,28 @@ impl Graph {
     ///
     /// Graphs built through the typed API are always valid; this guards
     /// hand-constructed or mutated graphs in tests.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`ShapeError::OperandNotBeforeUser`] for the first operand
+    /// that does not precede its user, then
+    /// [`ShapeError::UnknownOutput`] for the first dangling output.
     pub fn validate(&self) -> Result<(), ShapeError> {
         for n in &self.nodes {
             for operand in n.op.operands() {
                 if operand.index() >= n.id.index() {
-                    return Err(ShapeError::BadRank {
-                        context: "operand must precede user",
-                        found: operand.index(),
-                        expected: n.id.index(),
+                    return Err(ShapeError::OperandNotBeforeUser {
+                        user: n.id.index(),
+                        operand: operand.index(),
                     });
                 }
             }
+        }
+        if let Some(&out) = self.outputs.iter().find(|o| o.index() >= self.nodes.len()) {
+            return Err(ShapeError::UnknownOutput {
+                index: out.index(),
+                nodes: self.nodes.len(),
+            });
         }
         Ok(())
     }
@@ -1054,6 +1100,86 @@ mod tests {
         let (name, dtype, nodes, outputs) = g.into_parts();
         let back = Graph::from_parts(&name, dtype, nodes, outputs);
         assert_eq!(back, copy);
+    }
+
+    #[test]
+    fn operands_come_inline_in_operand_order() {
+        let ids = |op: HloOp| -> Vec<OpId> { op.operands().into_iter().collect() };
+        assert!(HloOp::Parameter.operands().is_empty());
+        assert_eq!(ids(HloOp::Constant), vec![]);
+        let x = OpId(3);
+        assert_eq!(&*HloOp::Softmax { input: x }.operands(), &[x]);
+        assert_eq!(ids(HloOp::Reshape { input: x }), vec![x]);
+        // Operand order, not id order: the later id comes first here.
+        let (lhs, rhs) = (OpId(5), OpId(1));
+        let dot = HloOp::Dot { lhs, rhs };
+        assert_eq!(ids(dot.clone()), vec![lhs, rhs]);
+        assert_eq!(&*dot.operands(), &[lhs, rhs]);
+        assert_eq!(dot.operands().len(), 2);
+        let bmm = HloOp::BatchMatmul {
+            a: rhs,
+            b: lhs,
+            batch: 1,
+            m: 1,
+            k: 1,
+            n: 1,
+        };
+        assert_eq!(ids(bmm), vec![rhs, lhs]);
+        // A repeated operand is listed twice.
+        let same = HloOp::Binary {
+            a: x,
+            b: x,
+            kind: BinaryKind::Add,
+        };
+        assert_eq!(ids(same), vec![x, x]);
+    }
+
+    #[test]
+    fn builders_reject_shapes_above_max_rank() {
+        let too_deep = [1, 2, 2, 2, 2];
+        let mut g = Graph::new("t", DType::Bf16);
+        let x = g.parameter(&[4, 4]).unwrap();
+        let rank5 = Err(ShapeError::RankTooHigh { rank: 5 });
+        assert_eq!(g.parameter(&too_deep), rank5);
+        assert_eq!(g.constant(&too_deep), rank5);
+        assert_eq!(g.reshape(x, &[1, 1, 2, 2, 4]), rank5);
+        assert_eq!(g.nodes().len(), 1);
+        assert!(g.reshape(x, &[1, 2, 2, 4]).is_ok());
+    }
+
+    #[test]
+    fn validate_rejects_a_dangling_output() {
+        let (name, dtype, nodes, _) = mlp().into_parts();
+        let g = Graph::from_parts(&name, dtype, nodes, vec![OpId(5), OpId(99)]);
+        assert_eq!(
+            g.validate(),
+            Err(ShapeError::UnknownOutput {
+                index: 99,
+                nodes: 6
+            })
+        );
+        let msg = format!("{}", g.validate().unwrap_err());
+        assert!(msg.contains("%99") && msg.contains("6 nodes"), "{msg}");
+    }
+
+    #[test]
+    fn validate_rejects_an_operand_after_its_user() {
+        let (name, dtype, mut nodes, outputs) = mlp().into_parts();
+        // The relu (%3) now reads the dot after it (%5).
+        nodes[3].op = HloOp::Activate {
+            input: OpId(5),
+            act: Activation::Relu,
+        };
+        let g = Graph::from_parts(&name, dtype, nodes, outputs);
+        assert_eq!(
+            g.validate(),
+            Err(ShapeError::OperandNotBeforeUser {
+                user: 3,
+                operand: 5
+            })
+        );
+        let msg = format!("{}", g.validate().unwrap_err());
+        assert!(msg.contains("%3") && msg.contains("%5"), "{msg}");
     }
 
     #[test]

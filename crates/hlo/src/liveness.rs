@@ -8,8 +8,6 @@
 //! peak-residency number is the compiler's answer to "what batch size
 //! can this model run at without spilling?".
 
-use std::collections::HashSet;
-
 use tpu_numerics::DType;
 
 use crate::graph::{Graph, HloOp, OpId};
@@ -48,22 +46,28 @@ fn occupies_vmem(op: &HloOp) -> bool {
     !matches!(op, HloOp::Constant)
 }
 
-/// Computes liveness and peak VMEM residency for a graph at its dtype.
-pub fn analyze(graph: &Graph) -> Liveness {
-    let n = graph.nodes().len();
-    let dtype: DType = graph.dtype();
-    let mut last_use: Vec<usize> = (0..n).collect();
+/// For each node (by index), the index of its last consumer: its own
+/// index if unused, `usize::MAX` if it is a graph output. This is the
+/// part of [`analyze`] that lowering reads.
+pub fn last_uses(graph: &Graph) -> Vec<usize> {
+    let mut last_use: Vec<usize> = (0..graph.nodes().len()).collect();
     for node in graph.nodes() {
         for operand in node.op.operands() {
             last_use[operand.index()] = last_use[operand.index()].max(node.id.index());
         }
     }
-    let outputs: HashSet<usize> = graph.outputs().iter().map(|o| o.index()).collect();
-    for (i, lu) in last_use.iter_mut().enumerate() {
-        if outputs.contains(&i) {
+    for out in graph.outputs() {
+        if let Some(lu) = last_use.get_mut(out.index()) {
             *lu = usize::MAX;
         }
     }
+    last_use
+}
+
+/// Computes liveness and peak VMEM residency for a graph at its dtype.
+pub fn analyze(graph: &Graph) -> Liveness {
+    let dtype: DType = graph.dtype();
+    let last_use = last_uses(graph);
 
     // Sweep definitions in order, tracking the live set.
     let mut live: Vec<OpId> = Vec::new();
@@ -132,6 +136,21 @@ mod tests {
         assert_eq!(l.last_use(OpId(5)), usize::MAX);
         assert!(l.live_after(OpId(5), 5));
         assert!(!l.live_after(OpId(0), 2));
+    }
+
+    #[test]
+    fn last_uses_are_the_analysis_last_uses() {
+        let g = chain();
+        let l = analyze(&g);
+        let last = last_uses(&g);
+        assert_eq!(last.len(), g.nodes().len());
+        for n in g.nodes() {
+            assert_eq!(last[n.id.index()], l.last_use(n.id), "{}", n.id);
+        }
+        // A dead node's last use is itself.
+        let mut dead = chain();
+        let x = dead.parameter(&[1, 8]).unwrap();
+        assert_eq!(last_uses(&dead)[x.index()], x.index());
     }
 
     #[test]

@@ -16,7 +16,7 @@ use tpu_sim::plan::{StepId, StepKind, StepPlan};
 
 use crate::fusion::FusionMap;
 use crate::graph::{Graph, HloOp, Node, OpId};
-use crate::liveness::{self, Liveness};
+use crate::liveness;
 use crate::memory::MemoryPlan;
 use crate::pipeline::CompilerOptions;
 
@@ -36,9 +36,6 @@ pub struct Lowered {
     pub accum_emulated: bool,
 }
 
-/// Per-node bookkeeping: the steps that produce a node's value in VMEM.
-type ProducedBy = Vec<Vec<StepId>>;
-
 /// Where a matmul's right-hand operand comes from.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 enum WeightSource {
@@ -56,6 +53,12 @@ pub fn lower(
     memory: &MemoryPlan,
     options: &CompilerOptions,
 ) -> Lowered {
+    let n = graph.nodes().len();
+    // Each cluster's fused VPU work, summed once per root.
+    let mut fused_ops: Vec<Option<u64>> = vec![None; n];
+    for (id, root) in fusion.entries() {
+        *fused_ops[root.index()].get_or_insert(0) += graph.node_flops(graph.node(id));
+    }
     let mut ctx = Ctx {
         graph,
         chip,
@@ -64,10 +67,13 @@ pub fn lower(
         options,
         plan: StepPlan::new(graph.name()),
         program: Program::new(chip.generation),
-        produced: vec![Vec::new(); graph.nodes().len()],
-        spilled: vec![false; graph.nodes().len()],
+        produced: vec![(0, 0); n],
+        produced_steps: Vec::new(),
+        deps: Vec::new(),
+        spilled: vec![false; n],
         spill_threshold: (chip.vmem.capacity_bytes as f64 * SPILL_VMEM_FRACTION) as u64,
-        liveness: liveness::analyze(graph),
+        last_use: liveness::last_uses(graph),
+        fused_ops,
         next_mxu: 0,
         accum_emulate: needs_accum_emulation(chip, options.bit_exact_with),
     };
@@ -89,18 +95,18 @@ pub fn lower(
     // spilled output is already in HBM — no second write.
     for &out in graph.outputs() {
         let node = graph.node(out);
-        let root = fusion.root_of(out).unwrap_or(out);
+        let root = ctx.value_of(out);
         if ctx.spilled[root.index()] {
             continue;
         }
-        let deps = ctx.produced[root.index()].clone();
         let bytes = node.shape.bytes(graph.dtype());
+        let (a, b) = ctx.produced[root.index()];
         ctx.plan.push_tagged(
             StepKind::DmaOut {
                 to: MemLevel::Hbm,
                 bytes,
             },
-            &deps,
+            &ctx.produced_steps[a as usize..b as usize],
             "output",
         );
         ctx.program.push(Bundle::new().dma(DmaOp::Start {
@@ -162,12 +168,22 @@ struct Ctx<'a> {
     options: &'a CompilerOptions,
     plan: StepPlan,
     program: Program,
-    produced: ProducedBy,
+    /// The steps that produce each unfused node's value in VMEM, as a
+    /// range of `produced_steps`. A fused node's value is its root's.
+    produced: Vec<(u32, u32)>,
+    /// Append-only backing store for the `produced` ranges.
+    produced_steps: Vec<StepId>,
+    /// The dependency list of the step being built, reused across steps.
+    deps: Vec<StepId>,
     /// Whether a node's value was written back to HBM because it exceeds
     /// the VMEM spill threshold; consumers re-load it.
     spilled: Vec<bool>,
     spill_threshold: u64,
-    liveness: Liveness,
+    /// Per node: the index of its last consumer (see
+    /// [`liveness::last_uses`]).
+    last_use: Vec<usize>,
+    /// Per cluster root: the summed flops of the nodes fused into it.
+    fused_ops: Vec<Option<u64>>,
     next_mxu: u8,
     accum_emulate: bool,
 }
@@ -177,31 +193,46 @@ impl Ctx<'_> {
         self.graph.dtype()
     }
 
-    /// Steps producing all operands of a node, re-loading spilled ones
-    /// from HBM.
-    fn operand_steps(&mut self, node: &Node) -> Vec<StepId> {
-        let operands = node.op.operands();
-        let mut deps = Vec::new();
-        for o in operands {
-            deps.extend(self.fetch_operand(o));
-        }
-        deps
+    /// The node whose steps produce `id`'s value: its cluster root if
+    /// it was fused, else itself.
+    fn value_of(&self, id: OpId) -> OpId {
+        self.fusion.root_of(id).unwrap_or(id)
     }
 
-    /// Dependencies for reading one operand's value in VMEM: its
-    /// producing steps, plus a reload DMA if it was spilled to HBM.
-    fn fetch_operand(&mut self, id: OpId) -> Vec<StepId> {
-        if !self.spilled[id.index()] {
-            return self.produced[id.index()].clone();
+    /// Records `steps` as the producers of `id`'s value.
+    fn set_produced(&mut self, id: OpId, steps: &[StepId]) {
+        let start = self.produced_steps.len() as u32;
+        self.produced_steps.extend_from_slice(steps);
+        self.produced[id.index()] = (start, self.produced_steps.len() as u32);
+    }
+
+    /// Appends to `self.deps` the steps producing all operands of a
+    /// node, re-loading spilled ones from HBM.
+    fn operand_steps(&mut self, node: &Node) {
+        self.deps.clear();
+        for o in node.op.operands() {
+            self.fetch_operand(o);
+        }
+    }
+
+    /// Appends to `self.deps` the dependencies for reading one
+    /// operand's value in VMEM: its producing steps, or a reload DMA
+    /// after them if it was spilled to HBM.
+    fn fetch_operand(&mut self, id: OpId) {
+        let src = self.value_of(id).index();
+        let (a, b) = self.produced[src];
+        let producers = &self.produced_steps[a as usize..b as usize];
+        if !self.spilled[src] {
+            self.deps.extend_from_slice(producers);
+            return;
         }
         let bytes = self.graph.node(id).shape.bytes(self.dtype());
-        let deps = self.produced[id.index()].clone();
         let reload = self.plan.push_tagged(
             StepKind::DmaIn {
                 from: MemLevel::Hbm,
                 bytes,
             },
-            &deps,
+            producers,
             "spill-in",
         );
         self.program.push(Bundle::new().dma(DmaOp::Start {
@@ -209,7 +240,7 @@ impl Ctx<'_> {
             dir: DmaDirection::new(MemLevel::Hbm, MemLevel::Vmem),
             bytes: bytes.min(u32::MAX as u64) as u32,
         }));
-        vec![reload]
+        self.deps.push(reload);
     }
 
     /// Spills a freshly produced value to HBM if it exceeds the VMEM
@@ -221,20 +252,21 @@ impl Ctx<'_> {
         if bytes <= self.spill_threshold {
             return;
         }
-        if !self.liveness.live_after(node.id, node.id.index()) {
+        let i = node.id.index();
+        if self.last_use[i] <= i {
             return; // dying immediately; nothing to keep
         }
         if matches!(node.op, HloOp::Parameter) {
-            self.spilled[node.id.index()] = true;
+            self.spilled[i] = true;
             return;
         }
-        let deps = self.produced[node.id.index()].clone();
+        let (a, b) = self.produced[i];
         let out = self.plan.push_tagged(
             StepKind::DmaOut {
                 to: MemLevel::Hbm,
                 bytes,
             },
-            &deps,
+            &self.produced_steps[a as usize..b as usize],
             "spill-out",
         );
         self.program.push(Bundle::new().dma(DmaOp::Start {
@@ -242,8 +274,8 @@ impl Ctx<'_> {
             dir: DmaDirection::new(MemLevel::Vmem, MemLevel::Hbm),
             bytes: bytes.min(u32::MAX as u64) as u32,
         }));
-        self.produced[node.id.index()] = vec![out];
-        self.spilled[node.id.index()] = true;
+        self.set_produced(node.id, &[out]);
+        self.spilled[i] = true;
     }
 
     fn pick_mxu(&mut self) -> u8 {
@@ -272,7 +304,7 @@ impl Ctx<'_> {
                     dir: DmaDirection::new(MemLevel::Hbm, MemLevel::Vmem),
                     bytes: bytes.min(u32::MAX as u64) as u32,
                 }));
-                self.produced[node.id.index()] = vec![s];
+                self.set_produced(node.id, &[s]);
                 self.maybe_spill(node);
             }
             HloOp::Constant => {
@@ -318,12 +350,13 @@ impl Ctx<'_> {
                     dir: DmaDirection::new(home, MemLevel::Vmem),
                     bytes: bytes.min(u32::MAX as u64) as u32,
                 }));
-                self.produced[node.id.index()] = vec![s];
+                self.set_produced(node.id, &[s]);
                 self.maybe_spill(node);
             }
             HloOp::Reshape { input } => {
-                self.produced[node.id.index()] = self.produced[input.index()].clone();
-                self.spilled[node.id.index()] = self.spilled[input.index()];
+                let src = self.value_of(input).index();
+                self.produced[node.id.index()] = self.produced[src];
+                self.spilled[node.id.index()] = self.spilled[src];
             }
             HloOp::Activate { .. }
             | HloOp::Binary { .. }
@@ -332,21 +365,21 @@ impl Ctx<'_> {
             | HloOp::GateReduce { .. }
             | HloOp::MaxPool2d { .. } => {
                 // Standalone VPU work (fused instances are skipped upstream).
-                let deps = self.operand_steps(node);
+                self.operand_steps(node);
                 let ops = self.graph.node_flops(node).max(1);
                 let s = self.plan.push_tagged(
                     StepKind::Vpu {
                         elements: ops,
                         ops_per_element: 1,
                     },
-                    &deps,
+                    &self.deps,
                     node.op.mnemonic(),
                 );
                 self.program.push(Bundle::new().vector(VectorOp::VXf {
                     dst: VReg(1),
                     a: VReg(0),
                 }));
-                self.produced[node.id.index()] = vec![s];
+                self.set_produced(node.id, &[s]);
                 self.maybe_spill(node);
             }
         }
@@ -356,13 +389,14 @@ impl Ctx<'_> {
     /// from their planned home (HBM or CMEM); computed operands are
     /// already in VMEM.
     fn weight_source(&self, id: OpId) -> WeightSource {
+        let (a, b) = self.produced[self.value_of(id).index()];
         if matches!(self.graph.node(id).op, HloOp::Constant) {
             if self.options.cmem {
                 WeightSource::Streamed(self.memory.weight_home(id))
             } else {
                 WeightSource::Streamed(MemLevel::Hbm)
             }
-        } else if self.produced[id.index()].is_empty() {
+        } else if a == b {
             // A parameter used directly as weights: stream from HBM.
             WeightSource::Streamed(MemLevel::Hbm)
         } else {
@@ -381,7 +415,13 @@ impl Ctx<'_> {
         act_input: OpId,
     ) {
         let dtype = self.dtype();
-        let act_deps: Vec<StepId> = self.fetch_operand(act_input);
+        // The activation dependencies are fetched once (a spilled input
+        // reloads once) and shared by every chunk.
+        self.deps.clear();
+        self.fetch_operand(act_input);
+        let act_start = self.produced_steps.len();
+        self.produced_steps.extend_from_slice(&self.deps);
+        let act_end = self.produced_steps.len();
 
         // Column tiling: bounded by the VMEM working set (memory plan)
         // and split across the MXU pool so independent output-column
@@ -395,7 +435,6 @@ impl Ctx<'_> {
         let chunks = cols.div_ceil(col_tile).max(1);
 
         let mxu = self.pick_mxu();
-        let mut chunk_steps: Vec<StepId> = Vec::with_capacity(chunks as usize);
         let mut prev_compute: Option<StepId> = None;
 
         // Emit the ISA tile loop once, with a loop marker for repetition.
@@ -426,37 +465,38 @@ impl Ctx<'_> {
                 }),
         );
 
+        // Each chunk's output step is appended to `produced_steps`, so
+        // the chunks form one range (nothing else appends in the loop).
+        let chunks_start = self.produced_steps.len();
         for c in 0..chunks {
             let this_cols = col_tile.min(cols - c * col_tile);
-            let mut cdeps: Vec<StepId> = Vec::new();
+            self.deps.clear();
             match weights {
                 WeightSource::Streamed(home) => {
                     let wbytes = inner * this_cols * dtype.size_bytes();
                     // Weight tile DMA. Without double buffering it waits
                     // for the previous chunk's compute.
-                    let mut wdeps: Vec<StepId> = Vec::new();
-                    if !self.options.double_buffer {
-                        if let Some(p) = prev_compute {
-                            wdeps.push(p);
-                        }
-                    }
+                    let wdeps = if self.options.double_buffer {
+                        &[]
+                    } else {
+                        prev_compute.as_slice()
+                    };
                     let wdma = self.plan.push_tagged(
                         StepKind::DmaIn {
                             from: home,
                             bytes: wbytes,
                         },
-                        &wdeps,
+                        wdeps,
                         "weights",
                     );
-                    cdeps.push(wdma);
+                    self.deps.push(wdma);
                 }
-                WeightSource::InVmem(op) => {
-                    cdeps.extend(self.fetch_operand(op));
-                }
+                WeightSource::InVmem(op) => self.fetch_operand(op),
             }
             // Compute depends on its weights and the activations; chunks
             // of one op are independent and spread over the MXU pool.
-            cdeps.extend(act_deps.iter().copied());
+            self.deps
+                .extend_from_slice(&self.produced_steps[act_start..act_end]);
             let compute = self.plan.push_tagged(
                 StepKind::Mxu {
                     rows,
@@ -465,7 +505,7 @@ impl Ctx<'_> {
                     dtype,
                     weights_resident: false,
                 },
-                &cdeps,
+                &self.deps,
                 node.op.mnemonic(),
             );
             prev_compute = Some(compute);
@@ -485,45 +525,31 @@ impl Ctx<'_> {
             } else {
                 compute
             };
-            chunk_steps.push(chunk_out);
+            self.produced_steps.push(chunk_out);
         }
+        let chunk_steps = (chunks_start as u32, self.produced_steps.len() as u32);
 
-        // Fused elementwise tail, if any.
-        let cluster = self.fusion.cluster_of(node.id);
-        let mut tail_steps = chunk_steps.clone();
-        if !cluster.is_empty() {
-            let fused_ops: u64 = cluster
-                .iter()
-                .map(|&id| self.graph.node_flops(self.graph.node(id)))
-                .sum();
+        // Fused elementwise tail, if any. Fused nodes read their value
+        // through `value_of`, so the root's entry covers the cluster.
+        self.produced[node.id.index()] = chunk_steps;
+        if let Some(fused_ops) = self.fused_ops[node.id.index()] {
             let vpu = self.plan.push_tagged(
                 StepKind::Vpu {
                     elements: fused_ops.max(1),
                     ops_per_element: 1,
                 },
-                &tail_steps,
+                &self.produced_steps[chunks_start..],
                 "fused",
             );
             self.program.push(Bundle::new().vector(VectorOp::VXf {
                 dst: VReg(2),
                 a: VReg(1),
             }));
-            tail_steps = vec![vpu];
-        }
-
-        self.produced[node.id.index()] = tail_steps.clone();
-        for &id in &cluster {
-            self.produced[id.index()] = tail_steps.clone();
+            self.set_produced(node.id, &[vpu]);
         }
         // The materialized value is the cluster tail's (same shape class
         // as the root); spill if it exceeds the threshold.
         self.maybe_spill(node);
-        if self.spilled[node.id.index()] {
-            for &id in &cluster {
-                self.produced[id.index()] = self.produced[node.id.index()].clone();
-                self.spilled[id.index()] = true;
-            }
-        }
     }
 }
 
@@ -561,7 +587,7 @@ mod tests {
         let g = simple_graph();
         let chip = catalog::tpu_v4i();
         let l = lower_with(&g, &chip, &CompilerOptions::default());
-        let tags: Vec<&str> = l.plan.steps().iter().map(|s| s.tag.as_str()).collect();
+        let tags: Vec<&str> = l.plan.steps().iter().map(|s| s.tag).collect();
         assert!(tags.contains(&"param"));
         assert!(tags.contains(&"weights"));
         assert!(tags.contains(&"dot"));

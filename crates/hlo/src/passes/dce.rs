@@ -50,7 +50,7 @@ impl Pass for Dce {
             kept.push(Node {
                 id: new_id,
                 op: remap_op(&node.op, |o| remap[o.index()]),
-                shape: node.shape.clone(),
+                shape: node.shape,
             });
         }
         let outputs = graph.outputs().iter().map(|o| remap[o.index()]).collect();

@@ -9,7 +9,7 @@
 //! 1.3 GB/s HBM stream and on-die SRAM.
 
 use super::{Pass, PassResult};
-use crate::graph::{Graph, HloOp};
+use crate::graph::{Graph, HloOp, Node};
 
 /// Rewrites `Reshape(Constant)` nodes into `Constant` nodes in place
 /// (same id, the reshape's shape), leaving the original constant as an
@@ -28,22 +28,23 @@ impl Pass for ConstantFold {
     }
 
     fn run(&self, graph: &Graph) -> PassResult {
+        let folds = |nodes: &[Node], i: usize| match nodes[i].op {
+            HloOp::Reshape { input } => matches!(nodes[input.index()].op, HloOp::Constant),
+            _ => false,
+        };
+        // A chain folds only if its first link does, so a graph with no
+        // direct `Reshape(Constant)` is left alone without being copied.
+        if !(0..graph.nodes().len()).any(|i| folds(graph.nodes(), i)) {
+            return PassResult::unchanged();
+        }
         let (name, dtype, mut nodes, outputs) = graph.clone().into_parts();
-        let mut changed = false;
         // One forward walk folds whole chains: once node i becomes a
         // Constant, a later Reshape of node i folds in the same sweep
         // because we test against the *updated* ops.
         for i in 0..nodes.len() {
-            let HloOp::Reshape { input } = nodes[i].op else {
-                continue;
-            };
-            if matches!(nodes[input.index()].op, HloOp::Constant) {
+            if folds(&nodes, i) {
                 nodes[i].op = HloOp::Constant;
-                changed = true;
             }
-        }
-        if !changed {
-            return PassResult::unchanged();
         }
         PassResult::rewritten(Graph::from_parts(&name, dtype, nodes, outputs))
     }

@@ -453,7 +453,7 @@ pub(crate) fn substitute(graph: &Graph, replace: &[Option<OpId>]) -> Option<Grap
         .map(|n| crate::graph::Node {
             id: n.id,
             op: remap_op(&n.op, resolve),
-            shape: n.shape.clone(),
+            shape: n.shape,
         })
         .collect();
     let outputs = graph.outputs().iter().map(|&o| resolve(o)).collect();

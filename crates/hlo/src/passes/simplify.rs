@@ -27,8 +27,8 @@ impl Pass for Simplify {
     fn run(&self, graph: &Graph) -> PassResult {
         let nodes = graph.nodes();
         let mut replace = vec![None; nodes.len()];
-        let mut rewrote_ops = false;
-        let (name, dtype, mut new_nodes, outputs) = graph.clone().into_parts();
+        // A copy of the nodes, made at the first in-place op rewrite.
+        let mut new_nodes: Option<Vec<crate::graph::Node>> = None;
 
         // Resolve an operand through replacements decided earlier in
         // this same walk (operands precede users, so one pass suffices).
@@ -75,10 +75,9 @@ impl Pass for Simplify {
                         // Collapse reshape-of-reshape: retarget the
                         // outer node at the innermost source. Its stored
                         // shape is already the final target.
-                        new_nodes[i].op = HloOp::Reshape {
+                        new_nodes.get_or_insert_with(|| nodes.to_vec())[i].op = HloOp::Reshape {
                             input: resolve(&replace, inner),
                         };
-                        rewrote_ops = true;
                     }
                 }
                 HloOp::MaxPool2d { input, window: 1 } => {
@@ -91,8 +90,13 @@ impl Pass for Simplify {
             }
         }
 
-        if rewrote_ops {
-            let rewritten = Graph::from_parts(&name, dtype, new_nodes, outputs);
+        if let Some(new_nodes) = new_nodes {
+            let rewritten = Graph::from_parts(
+                graph.name(),
+                graph.dtype(),
+                new_nodes,
+                graph.outputs().to_vec(),
+            );
             // Apply any replacements found in the same walk on top.
             match substitute(&rewritten, &replace) {
                 Some(g) => PassResult::rewritten(g),

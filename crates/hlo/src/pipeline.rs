@@ -334,7 +334,8 @@ pub fn compile(
     chip: &ChipConfig,
     options: &CompilerOptions,
 ) -> Result<Executable, CompileError> {
-    graph.validate()?;
+    // The verifier's checks include everything `Graph::validate` checks,
+    // each with its own typed error.
     let verifier = Verifier::new();
     verifier.verify_graph(graph)?;
 

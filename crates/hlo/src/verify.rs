@@ -265,7 +265,7 @@ impl Verifier {
             if inferred != node.shape {
                 return Err(VerifyError::ShapeMismatch {
                     node: node.id,
-                    stored: node.shape.clone(),
+                    stored: node.shape,
                     inferred,
                 });
             }
@@ -345,25 +345,16 @@ impl Verifier {
     /// order.
     pub fn verify_fusion(&self, graph: &Graph, fusion: &FusionMap) -> Result<(), VerifyError> {
         let count = graph.nodes().len();
-        let mut entries: Vec<(OpId, OpId)> = graph
-            .nodes()
-            .iter()
-            .filter_map(|n| fusion.root_of(n.id).map(|r| (n.id, r)))
-            .collect();
-        // Entries for dangling fused ids are invisible above; find them.
-        for id in fusion_ids(fusion) {
-            if id.index() >= count {
-                return Err(VerifyError::FusionDangling { id, nodes: count });
-            }
+        // The smallest dangling id, fused node or root, is reported first.
+        let dangling = fusion
+            .entries()
+            .flat_map(|(node, root)| [node, root])
+            .filter(|id| id.index() >= count)
+            .min();
+        if let Some(id) = dangling {
+            return Err(VerifyError::FusionDangling { id, nodes: count });
         }
-        entries.sort_unstable();
-        for (node, root) in entries {
-            if root.index() >= count {
-                return Err(VerifyError::FusionDangling {
-                    id: root,
-                    nodes: count,
-                });
-            }
+        for (node, root) in fusion.entries() {
             if !graph.node(node).op.is_fusible_consumer() {
                 return Err(VerifyError::FusionNodeNotFusible { node });
             }
@@ -398,14 +389,6 @@ impl Verifier {
         }
         Ok(())
     }
-}
-
-/// All ids a fusion map mentions (fused nodes, then roots), in id order.
-fn fusion_ids(fusion: &FusionMap) -> Vec<OpId> {
-    let mut ids: Vec<OpId> = fusion.entries().flat_map(|(n, r)| [n, r]).collect();
-    ids.sort_unstable();
-    ids.dedup();
-    ids
 }
 
 #[cfg(test)]

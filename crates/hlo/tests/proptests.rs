@@ -69,7 +69,7 @@ proptest! {
         let chip = catalog::tpu_v4i();
         let exe = compile(&g, &chip, &CompilerOptions::default()).unwrap();
         for step in exe.plan().steps() {
-            for dep in &step.deps {
+            for dep in exe.plan().deps(step.id) {
                 prop_assert!(dep.index() < step.id.index());
             }
         }

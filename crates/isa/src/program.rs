@@ -137,9 +137,11 @@ impl Program {
     pub fn verify(&self) -> Result<(), VerifyError> {
         let spec = EncodingSpec::for_generation(self.generation);
         let mut loaded = [false; 256];
+        // Reuse the encoder's legality logic one bundle at a time, into
+        // one buffer.
+        let mut scratch = Vec::new();
         for (index, b) in self.bundles.iter().enumerate() {
-            // Reuse the encoder's legality logic one bundle at a time.
-            let mut scratch = Vec::new();
+            scratch.clear();
             if let Err(reason) = crate::encoding::encode_bundle_for_verify(b, &spec, &mut scratch) {
                 return Err(VerifyError::IllegalBundle { index, reason });
             }

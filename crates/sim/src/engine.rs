@@ -141,8 +141,8 @@ impl Simulator {
 
     /// Shared scheduling core. `want_trace` gates [`TraceEntry`]
     /// collection: an untraced [`Simulator::run`] (the sweep hot path)
-    /// skips the per-step entry push and its `tag` string clone, which
-    /// is pure overhead when the caller discards the trace.
+    /// skips the per-step entry push, which is pure overhead when the
+    /// caller discards the trace.
     fn run_core(&self, plan: &StepPlan, want_trace: bool) -> Result<(SimReport, Trace), SimError> {
         let chip = self.machine.chip();
         // Pre-validate.
@@ -182,17 +182,31 @@ impl Simulator {
 
         let n = plan.len();
         let mut indegree = vec![0usize; n];
-        let mut dependents: Vec<Vec<usize>> = vec![Vec::new(); n];
+        // Dependents of step `i` are `dependents[dep_starts[i]..dep_starts[i + 1]]`,
+        // in the order their edges appear in the plan.
+        let mut dep_starts = vec![0usize; n + 1];
         for s in plan.steps() {
-            indegree[s.id.index()] = s.deps.len();
-            for d in &s.deps {
-                dependents[d.index()].push(s.id.index());
+            let deps = plan.deps(s.id);
+            indegree[s.id.index()] = deps.len();
+            for d in deps {
+                dep_starts[d.index() + 1] += 1;
+            }
+        }
+        for i in 0..n {
+            dep_starts[i + 1] += dep_starts[i];
+        }
+        let mut fill = dep_starts.clone();
+        let mut dependents = vec![0usize; dep_starts[n]];
+        for s in plan.steps() {
+            for d in plan.deps(s.id) {
+                dependents[fill[d.index()]] = s.id.index();
+                fill[d.index()] += 1;
             }
         }
         let mut finish = vec![0.0f64; n];
         let mut ready: BinaryHeap<Reverse<(TimeKey, usize)>> = BinaryHeap::new();
         for (i, s) in plan.steps().iter().enumerate() {
-            if s.deps.is_empty() {
+            if plan.deps(s.id).is_empty() {
                 ready.push(Reverse((TimeKey(0.0), i)));
             }
         }
@@ -232,7 +246,7 @@ impl Simulator {
             if want_trace {
                 trace.entries.push(TraceEntry {
                     step: step.id,
-                    tag: step.tag.clone(),
+                    tag: step.tag,
                     resource,
                     unit: unit_idx,
                     start,
@@ -265,11 +279,11 @@ impl Simulator {
             finish[idx] = end;
             makespan = makespan.max(end);
             done += 1;
-            for &dep in &dependents[idx] {
+            for &dep in &dependents[dep_starts[idx]..dep_starts[idx + 1]] {
                 indegree[dep] -= 1;
                 if indegree[dep] == 0 {
-                    let t = plan.steps()[dep]
-                        .deps
+                    let t = plan
+                        .deps(plan.steps()[dep].id)
                         .iter()
                         .map(|d| finish[d.index()])
                         .fold(0.0f64, f64::max);

@@ -98,27 +98,33 @@ impl StepKind {
     }
 }
 
-/// One node of the plan DAG.
-#[derive(Debug, Clone, PartialEq)]
+/// One node of the plan DAG. Its dependencies live in the plan's flat
+/// dependency array: read them with [`StepPlan::deps`].
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Step {
     /// This step's id.
     pub id: StepId,
     /// What it does.
     pub kind: StepKind,
-    /// Steps that must complete first (always earlier ids).
-    pub deps: Vec<StepId>,
     /// Optional human-readable tag (the HLO op it came from).
-    pub tag: String,
+    pub tag: &'static str,
 }
 
 /// A dependency-ordered plan of steps.
 ///
 /// Construction enforces acyclicity structurally: a step may only depend
-/// on already-pushed steps, so ids form a topological order.
+/// on already-pushed steps, so ids form a topological order. Every
+/// step's dependencies sit back to back in one array, so pushing a step
+/// allocates nothing beyond amortized growth.
 #[derive(Debug, Clone, PartialEq, Default)]
 pub struct StepPlan {
     name: String,
     steps: Vec<Step>,
+    /// All dependency lists, concatenated in step order.
+    deps: Vec<StepId>,
+    /// `dep_ends[i]` is where step `i`'s list ends in `deps`; it starts
+    /// where step `i - 1`'s ends.
+    dep_ends: Vec<u32>,
 }
 
 impl StepPlan {
@@ -126,7 +132,7 @@ impl StepPlan {
     pub fn new(name: &str) -> StepPlan {
         StepPlan {
             name: name.to_owned(),
-            steps: Vec::new(),
+            ..StepPlan::default()
         }
     }
 
@@ -150,23 +156,36 @@ impl StepPlan {
     /// # Panics
     ///
     /// Panics if any dependency id has not been pushed yet.
-    pub fn push_tagged(&mut self, kind: StepKind, deps: &[StepId], tag: &str) -> StepId {
+    pub fn push_tagged(&mut self, kind: StepKind, deps: &[StepId], tag: &'static str) -> StepId {
         let id = StepId(self.steps.len() as u32);
         for d in deps {
             assert!(d.0 < id.0, "dependency {d} of step {id} does not exist yet");
         }
-        self.steps.push(Step {
-            id,
-            kind,
-            deps: deps.to_vec(),
-            tag: tag.to_owned(),
-        });
+        self.deps.extend_from_slice(deps);
+        self.push_step(id, kind, tag);
         id
+    }
+
+    /// Records a step whose dependencies were just appended to `deps`.
+    fn push_step(&mut self, id: StepId, kind: StepKind, tag: &'static str) {
+        self.dep_ends.push(self.deps.len() as u32);
+        self.steps.push(Step { id, kind, tag });
     }
 
     /// The steps in id (topological) order.
     pub fn steps(&self) -> &[Step] {
         &self.steps
+    }
+
+    /// The steps `id` depends on (all earlier ids), in push order.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `id` is not a step of this plan.
+    pub fn deps(&self, id: StepId) -> &[StepId] {
+        let i = id.index();
+        let start = if i == 0 { 0 } else { self.dep_ends[i - 1] };
+        &self.deps[start as usize..self.dep_ends[i] as usize]
     }
 
     /// Number of steps.
@@ -206,17 +225,13 @@ impl StepPlan {
     pub fn append(&mut self, other: &StepPlan, barrier: Option<StepId>) -> u32 {
         let offset = self.steps.len() as u32;
         for s in &other.steps {
-            let mut deps: Vec<StepId> = s.deps.iter().map(|d| StepId(d.0 + offset)).collect();
-            if let (Some(b), true) = (barrier, s.deps.is_empty()) {
-                deps.push(b);
+            let deps = other.deps(s.id);
+            self.deps.extend(deps.iter().map(|d| StepId(d.0 + offset)));
+            if let (Some(b), true) = (barrier, deps.is_empty()) {
+                self.deps.push(b);
             }
             // Direct push keeps invariant: all new deps < new id.
-            self.steps.push(Step {
-                id: StepId(s.id.0 + offset),
-                kind: s.kind,
-                deps,
-                tag: s.tag.clone(),
-            });
+            self.push_step(StepId(s.id.0 + offset), s.kind, s.tag);
         }
         offset
     }
@@ -256,7 +271,7 @@ mod tests {
         let b = p.push(StepKind::Ici { bytes: 2 }, &[a]);
         assert_eq!(a.index(), 0);
         assert_eq!(b.index(), 1);
-        assert_eq!(p.steps()[1].deps, vec![a]);
+        assert_eq!(p.deps(b), &[a]);
     }
 
     #[test]
@@ -350,9 +365,73 @@ mod tests {
         assert_eq!(offset, 1);
         assert_eq!(a.len(), 3);
         // b's root now depends on the barrier...
-        assert_eq!(a.steps()[1].deps, vec![a0]);
+        assert_eq!(a.deps(StepId(1)), &[a0]);
         // ...and b's internal edge is rebased.
-        assert_eq!(a.steps()[2].deps, vec![StepId(1)]);
+        assert_eq!(a.deps(StepId(2)), &[StepId(1)]);
+    }
+
+    #[test]
+    fn deps_read_each_steps_own_list() {
+        let mut p = StepPlan::new("t");
+        let a = p.push(StepKind::Ici { bytes: 1 }, &[]);
+        let b = p.push_tagged(StepKind::Ici { bytes: 2 }, &[a], "b");
+        let c = p.push(StepKind::Ici { bytes: 3 }, &[]);
+        let d = p.push_tagged(StepKind::Ici { bytes: 4 }, &[c, a, b], "d");
+        assert_eq!(p.deps(a), &[]);
+        assert_eq!(p.deps(b), &[a]);
+        assert_eq!(p.deps(c), &[]);
+        assert_eq!(p.deps(d), &[c, a, b]);
+        assert_eq!(p.steps()[3].tag, "d");
+        assert_eq!(p.steps()[2].tag, "");
+    }
+
+    #[test]
+    #[should_panic(expected = "does not exist yet")]
+    fn self_dependency_panics() {
+        let mut p = StepPlan::new("t");
+        p.push(StepKind::Ici { bytes: 1 }, &[]);
+        p.push(StepKind::Ici { bytes: 2 }, &[StepId(0), StepId(1)]);
+    }
+
+    #[test]
+    fn append_keeps_offsets_barrier_and_tags() {
+        let mut a = StepPlan::new("a");
+        let a0 = a.push(StepKind::Ici { bytes: 1 }, &[]);
+        let a1 = a.push(StepKind::Ici { bytes: 2 }, &[a0]);
+        let mut b = StepPlan::new("b");
+        let b0 = b.push_tagged(StepKind::Ici { bytes: 3 }, &[], "root");
+        let b1 = b.push(StepKind::Ici { bytes: 4 }, &[]);
+        b.push_tagged(StepKind::Ici { bytes: 5 }, &[b1, b0], "join");
+
+        let mut with = a.clone();
+        assert_eq!(with.append(&b, Some(a1)), 2);
+        assert_eq!(with.len(), 5);
+        // Our own steps are untouched.
+        assert_eq!(with.deps(a0), &[]);
+        assert_eq!(with.deps(a1), &[a0]);
+        // Every root of `b` waits on the barrier; inner edges shift by 2
+        // and keep their order.
+        assert_eq!(with.deps(StepId(2)), &[a1]);
+        assert_eq!(with.deps(StepId(3)), &[a1]);
+        assert_eq!(with.deps(StepId(4)), &[StepId(3), StepId(2)]);
+        let ids: Vec<u32> = with.steps().iter().map(|s| s.id.0).collect();
+        assert_eq!(ids, [0, 1, 2, 3, 4]);
+        assert_eq!(with.steps()[2].tag, "root");
+        assert_eq!(with.steps()[4].tag, "join");
+        assert_eq!(with.steps()[4].kind, StepKind::Ici { bytes: 5 });
+
+        // Without a barrier the roots stay roots.
+        let mut without = a.clone();
+        assert_eq!(without.append(&b, None), 2);
+        assert_eq!(without.deps(StepId(2)), &[]);
+        assert_eq!(without.deps(StepId(3)), &[]);
+        assert_eq!(without.deps(StepId(4)), &[StepId(3), StepId(2)]);
+
+        // Appending keeps the plan extendable: new steps may depend on
+        // appended ones.
+        let e = with.push(StepKind::Ici { bytes: 6 }, &[StepId(4)]);
+        assert_eq!(with.deps(e), &[StepId(4)]);
+        assert_eq!(with.deps(StepId(4)), &[StepId(3), StepId(2)]);
     }
 
     #[test]

@@ -19,7 +19,7 @@ pub struct TraceEntry {
     /// The step.
     pub step: StepId,
     /// Its tag (from the plan).
-    pub tag: String,
+    pub tag: &'static str,
     /// Which resource class ran it.
     pub resource: Resource,
     /// Which unit of that class (0-based within the pool).
@@ -93,7 +93,7 @@ impl Trace {
             let name: std::borrow::Cow<'static, str> = if e.tag.is_empty() {
                 format!("step{}", e.step.0).into()
             } else {
-                e.tag.clone().into()
+                e.tag.into()
             };
             let arg = e.step.0 as i64;
             events.push(TelemetryEvent {
@@ -182,7 +182,7 @@ mod tests {
     fn entry(step: u32, resource: Resource, unit: usize, start: f64, end: f64) -> TraceEntry {
         TraceEntry {
             step: StepId(step),
-            tag: String::new(),
+            tag: "",
             resource,
             unit,
             start,
@@ -247,7 +247,7 @@ mod tests {
         let mut t = Trace::default();
         t.entries.push(TraceEntry {
             step: StepId(4),
-            tag: "matmul.fwd".to_owned(),
+            tag: "matmul.fwd",
             resource: Resource::Vpu,
             unit: 0,
             start: 0.0,

@@ -101,7 +101,7 @@ proptest! {
         prop_assert_eq!(trace.find_overlap(), None);
         // Every step's dependencies finish before it starts.
         for e in &trace.entries {
-            for dep in &plan.steps()[e.step.index()].deps {
+            for dep in plan.deps(e.step) {
                 let dep_end = trace
                     .entries
                     .iter()
@@ -134,7 +134,7 @@ proptest! {
         // Rebuild with a full serialization chain added.
         let mut chained = StepPlan::new("chained");
         for (i, s) in plan.steps().iter().enumerate() {
-            let mut deps = s.deps.clone();
+            let mut deps = plan.deps(s.id).to_vec();
             if i > 0 {
                 let prev = StepId((i - 1) as u32);
                 if !deps.contains(&prev) {
