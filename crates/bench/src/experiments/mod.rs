@@ -11,7 +11,6 @@ pub mod numerics_exp;
 pub mod observability;
 pub mod overload;
 pub mod perf;
-pub mod queue_exp;
 pub mod scaleout;
 pub mod serving_exp;
 pub mod tables;

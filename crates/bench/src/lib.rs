@@ -48,7 +48,6 @@ pub fn run_experiment(id: &str) -> Option<String> {
         "e25" => experiments::generation::e25_generation(),
         "e26" => experiments::compiler_exp::e26_compiler(),
         "e27" => experiments::fleet_exp::e27_fleet(),
-        "e28" => experiments::queue_exp::e28_queue(),
         "a1" => experiments::ablations::a1_mxu_count(),
         "a2" => experiments::ablations::a2_hbm_bandwidth(),
         "a3" => experiments::ablations::a3_clock(),
@@ -62,9 +61,9 @@ pub fn run_experiment(id: &str) -> Option<String> {
 /// energy breakdown, batching policies, fleet sizing, workload
 /// evolution, co-location interference, overload goodput, chaos /
 /// failover, observability, continuous batching).
-pub const ALL_EXPERIMENTS: [&str; 27] = [
+pub const ALL_EXPERIMENTS: [&str; 26] = [
     "e1", "e2", "e3", "e4", "e5", "e6", "e7", "e8", "e9", "e10", "e11", "e12", "e13", "e14", "e15",
-    "e16", "e17", "e18", "e19", "e20", "e21", "e22", "e24", "e25", "e26", "e27", "e28",
+    "e16", "e17", "e18", "e19", "e20", "e21", "e22", "e24", "e25", "e26", "e27",
 ];
 
 /// The fast deterministic subset the golden-regression test pins

@@ -66,10 +66,7 @@
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
-use crate::des::{
-    simulate_fleet_samples, simulate_fleet_samples_reference, ConfigError, FleetConfig,
-    ServingReport,
-};
+use crate::des::{simulate_fleet_samples, ConfigError, FleetConfig};
 use crate::faults::{FaultKind, FaultPlan, ScheduledFault};
 use crate::latency::LatencyModel;
 use crate::metrics::ServingMetrics;
@@ -852,29 +849,7 @@ pub fn simulate_global(
     cfg: &GlobalConfig,
 ) -> Result<GlobalReport, ConfigError> {
     cfg.validate()?;
-    Ok(run_global(latency, cfg, None, simulate_fleet_samples))
-}
-
-/// [`simulate_global`] with every per-cell DES run driven through the
-/// reference binary-heap event queue
-/// ([`crate::des::simulate_fleet_samples_reference`]) instead of the
-/// calendar queue. Differential anchor: byte-identical to
-/// [`simulate_global`] for every valid config.
-///
-/// # Errors
-///
-/// [`ConfigError`] for any degenerate knob.
-pub fn simulate_global_reference(
-    latency: &LatencyModel,
-    cfg: &GlobalConfig,
-) -> Result<GlobalReport, ConfigError> {
-    cfg.validate()?;
-    Ok(run_global(
-        latency,
-        cfg,
-        None,
-        simulate_fleet_samples_reference,
-    ))
+    Ok(run_global(latency, cfg, None))
 }
 
 /// [`simulate_global`] with cell-scoped telemetry recorded: cell-down
@@ -897,7 +872,7 @@ pub fn simulate_global_recorded(
     recorder: &mut Recorder,
 ) -> Result<GlobalReport, ConfigError> {
     cfg.validate()?;
-    let report = run_global(latency, cfg, Some(recorder), simulate_fleet_samples);
+    let report = run_global(latency, cfg, Some(recorder));
     recorder.add_counter("global_arrivals", report.arrivals);
     recorder.add_counter("global_completed", report.completed);
     recorder.add_counter("global_redirected", report.redirected);
@@ -907,19 +882,10 @@ pub fn simulate_global_recorded(
     Ok(report)
 }
 
-/// The per-cell DES entry point [`run_global`] drives: production
-/// (calendar queue) or the heap reference, same signature.
-type CellSim = fn(
-    &LatencyModel,
-    &FleetConfig,
-    &crate::faults::FaultPlan,
-) -> Result<(ServingReport, Vec<f64>), ConfigError>;
-
 fn run_global(
     latency: &LatencyModel,
     cfg: &GlobalConfig,
     mut rec: Option<&mut Recorder>,
-    cell_sim: CellSim,
 ) -> GlobalReport {
     let n_cells = cfg.cells.len();
     let epochs = (cfg.horizon_s / cfg.epoch_s).ceil().max(1.0) as usize;
@@ -1203,7 +1169,7 @@ fn run_global(
                 // The template, slice, and substitutions were validated
                 // up front; a failure here is a bug, not bad input.
                 let (r, samples) =
-                    cell_sim(latency, &fc, &plan).expect("validated per-cell config");
+                    simulate_fleet_samples(latency, &fc, &plan).expect("validated per-cell config");
                 debug_assert!(r.conservation_holds(), "per-cell DES conservation");
 
                 // Redirected requests pay the WAN penalty: mark a
@@ -1353,7 +1319,7 @@ fn run_global(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::des::{FleetPolicy, PoolConfig, RetryPolicy, ServingConfig};
+    use crate::des::{FleetPolicy, PoolConfig, RetryPolicy, ServingConfig, MAX_SERVERS};
     use crate::faults::FailoverConfig;
 
     fn model() -> LatencyModel {
@@ -1672,6 +1638,19 @@ mod tests {
             bad.validate(),
             Err(ConfigError::InvalidRedirectThreshold(_))
         ));
+    }
+
+    #[test]
+    fn cell_ceiling_past_the_server_id_space_is_a_typed_error() {
+        // Every per-cell DES run must validate, and the autoscaler may
+        // grow a cell to its ceiling, so the ceiling obeys the pool's
+        // server bound.
+        let mut cfg = small_config(1);
+        cfg.cells[1].max_servers = MAX_SERVERS + 1;
+        assert_eq!(
+            simulate_global(&model(), &cfg),
+            Err(ConfigError::TooManyServers(MAX_SERVERS + 1))
+        );
     }
 
     #[test]

@@ -12,8 +12,10 @@
 //!   dynamic batching (batch forms on size or timeout), per-request
 //!   deadlines, admission-control load shedding, and retry-with-backoff
 //!   — every entry point validates its config and returns a typed
-//!   [`des::ConfigError`] for degenerate inputs. The same module hosts
-//!   the autoregressive decode-loop scheduler
+//!   [`des::ConfigError`] for degenerate inputs. Its events pop from one
+//!   `std` binary heap keyed by unique `(time, seq)` pairs, so a run is a
+//!   pure function of its config and seed. The same module hosts the
+//!   autoregressive decode-loop scheduler
 //!   ([`des::simulate_generation`]): static vs continuous batching with
 //!   KV-cache HBM as a first-class constrained resource;
 //! - [`genmodel`]: bounded prompt/output token-count distributions and
@@ -22,9 +24,6 @@
 //!   (fail-stop crashes, transient hangs, slow-degrades; scheduled or
 //!   MTBF/MTTR-driven), a server health lifecycle, and a health checker
 //!   that drains dead servers' queues onto surviving replicas;
-//! - [`equeue`]: the calendar/bucket event queue the engines schedule
-//!   on, behind an [`equeue::EventQueue`] trait with the original
-//!   binary heap kept as the differential reference;
 //! - [`arena`]: the stamped slot arena holding in-flight batches
 //!   (free-list reuse with ABA protection via reuse stamps);
 //! - [`metrics`]: the counters and histograms a serving fleet is
@@ -61,7 +60,6 @@
 
 pub mod arena;
 pub mod des;
-pub mod equeue;
 pub mod faults;
 pub mod fleet;
 pub mod genmodel;
@@ -72,18 +70,16 @@ pub mod slo;
 pub mod stats;
 
 pub use des::{
-    simulate, simulate_fleet, simulate_fleet_recorded, simulate_fleet_recorded_reference,
-    simulate_fleet_samples, simulate_fleet_samples_reference, simulate_fleet_with_faults,
-    simulate_fleet_with_faults_reference, simulate_generation, simulate_generation_calendar,
-    simulate_generation_recorded, simulate_generation_recorded_reference,
-    simulate_generation_reference, BatchingMode, ConfigError, FleetConfig, FleetPolicy, GenConfig,
-    GenReport, PoolConfig, RetryPolicy, ServingConfig, ServingReport, Stragglers,
+    simulate, simulate_fleet, simulate_fleet_recorded, simulate_fleet_samples,
+    simulate_fleet_with_faults, simulate_generation, simulate_generation_recorded, BatchingMode,
+    ConfigError, FleetConfig, FleetPolicy, GenConfig, GenReport, PoolConfig, RetryPolicy,
+    ServingConfig, ServingReport, Stragglers,
 };
 pub use faults::{FailoverConfig, FaultKind, FaultPlan, MtbfFaults, ScheduledFault};
 pub use fleet::{
-    simulate_global, simulate_global_recorded, simulate_global_reference, AutoscalerConfig,
-    AutoscalerReport, Cell, CellFault, CellFaultKind, CellReport, FlashCrowd, GeoPolicy,
-    GlobalConfig, GlobalReport, TenantStream, TrafficModel,
+    simulate_global, simulate_global_recorded, AutoscalerConfig, AutoscalerReport, Cell, CellFault,
+    CellFaultKind, CellReport, FlashCrowd, GeoPolicy, GlobalConfig, GlobalReport, TenantStream,
+    TrafficModel,
 };
 pub use genmodel::{GenerationModel, TokenDistribution};
 pub use latency::{GenLatencyModel, LatencyModel};

@@ -5,8 +5,8 @@
 use proptest::prelude::*;
 
 use tpu_serving::des::{
-    simulate_fleet, simulate_fleet_with_faults, simulate_pool_with_stragglers, ConfigError,
-    FleetConfig, FleetPolicy, RetryPolicy, ServingConfig, Stragglers,
+    simulate_fleet, simulate_fleet_with_faults, ConfigError, FleetConfig, FleetPolicy, RetryPolicy,
+    ServingConfig, Stragglers,
 };
 use tpu_serving::faults::{FailoverConfig, FaultKind, FaultPlan, MtbfFaults, ScheduledFault};
 use tpu_serving::latency::LatencyModel;
@@ -40,10 +40,10 @@ proptest! {
             requests,
             seed,
         };
-        let report = simulate_pool_with_stragglers(
+        let report = simulate_fleet(
             &model(),
-            &cfg.with_servers(servers),
-            &Stragglers { probability, factor },
+            &FleetConfig::new(cfg.with_servers(servers))
+                .with_stragglers(Stragglers { probability, factor }),
         )
         .expect("generated config is valid");
         // Everything completes without an overload policy.

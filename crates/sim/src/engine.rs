@@ -301,9 +301,12 @@ impl Simulator {
     }
 }
 
-/// Wrapper giving `f64` a total order for heap keys.
+/// Simulation-time heap key: `f64` under `total_cmp`, so times are
+/// totally ordered (the simulators never produce NaN times, and
+/// `total_cmp` keeps the type an `Ord` anyway). Shared with the serving
+/// DES, whose event heaps key on `(TimeKey, seq)`.
 #[derive(Debug, Clone, Copy, PartialEq)]
-struct TimeKey(f64);
+pub struct TimeKey(pub f64);
 
 impl Eq for TimeKey {}
 
@@ -314,6 +317,7 @@ impl PartialOrd for TimeKey {
 }
 
 impl Ord for TimeKey {
+    #[inline]
     fn cmp(&self, other: &Self) -> std::cmp::Ordering {
         self.0.total_cmp(&other.0)
     }

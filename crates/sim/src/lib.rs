@@ -42,7 +42,7 @@ pub mod plan;
 pub mod report;
 pub mod trace;
 
-pub use engine::{SimError, Simulator};
+pub use engine::{SimError, Simulator, TimeKey};
 pub use plan::{Step, StepId, StepKind, StepPlan};
 pub use report::{Resource, SimReport};
 pub use trace::{Trace, TraceEntry};
