@@ -1,16 +1,19 @@
 //! Property and trace tests for the autoregressive decode loop: per-token
 //! conservation, KV-residency capacity, the continuous ≡ static
-//! equivalence at single-token outputs, and the derived-only telemetry
-//! contract (recorded ≡ unrecorded, bit for bit).
+//! equivalence at single-token outputs, the derived-only telemetry
+//! contract (recorded ≡ unrecorded, bit for bit), and a pin folding
+//! every report bit and recorded event of a fixed battery into one
+//! constant.
 
 use proptest::prelude::*;
 
 use tpu_serving::des::{
-    simulate_generation, simulate_generation_recorded, BatchingMode, GenConfig,
+    simulate_generation, simulate_generation_recorded, BatchingMode, GenConfig, GenReport,
 };
 use tpu_serving::genmodel::{GenerationModel, TokenDistribution};
 use tpu_serving::latency::{GenLatencyModel, LatencyModel};
-use tpu_telemetry::{span_balance, Recorder};
+use tpu_serving::metrics::Histogram;
+use tpu_telemetry::{span_balance, Recorder, SpanPhase};
 
 fn gen_latency() -> GenLatencyModel {
     GenLatencyModel {
@@ -187,5 +190,222 @@ fn continuous_dominates_static_under_overload() {
         "continuous {} vs static {}",
         b.p99_ttft_s,
         a.p99_ttft_s
+    );
+}
+
+/// FNV-1a over little-endian words: folds runs into one constant, so a
+/// change to any report bit or recorded event changes the result.
+struct Fold(u64);
+
+impl Fold {
+    fn bytes(&mut self, bytes: &[u8]) {
+        for &b in bytes {
+            self.0 = (self.0 ^ u64::from(b)).wrapping_mul(0x0100_0000_01b3);
+        }
+    }
+
+    fn word(&mut self, w: u64) {
+        self.bytes(&w.to_le_bytes());
+    }
+
+    fn float(&mut self, x: f64) {
+        self.word(x.to_bits());
+    }
+
+    fn text(&mut self, s: &str) {
+        self.word(s.len() as u64);
+        self.bytes(s.as_bytes());
+    }
+
+    fn histogram(&mut self, h: &Histogram) {
+        self.word(h.count());
+        self.float(h.sum());
+        self.float(h.max());
+        for (bound, count) in h.buckets() {
+            self.float(bound);
+            self.word(count);
+        }
+    }
+
+    fn report(&mut self, r: &GenReport) {
+        for s in [&r.ttft_stats, &r.tpot_stats, &r.e2e_stats] {
+            self.word(s.n as u64);
+            for x in [s.mean_s, s.p50_s, s.p95_s, s.p99_s, s.max_s] {
+                self.float(x);
+            }
+        }
+        for x in [
+            r.p50_ttft_s,
+            r.p99_ttft_s,
+            r.p99_tpot_s,
+            r.throughput_rps,
+            r.goodput_rps,
+            r.tokens_per_s,
+            r.duration_s,
+        ] {
+            self.float(x);
+        }
+        let m = &r.metrics;
+        for w in [
+            r.arrivals as u64,
+            r.completed as u64,
+            r.output_tokens,
+            r.prompt_tokens,
+            r.kv_peak_bytes,
+            r.seed,
+            m.kv_peak_bytes,
+        ] {
+            self.word(w);
+        }
+        for c in [
+            m.arrivals,
+            m.admitted,
+            m.completed,
+            m.completed_late,
+            m.shed_queue_full,
+            m.shed_deadline,
+            m.shed_no_capacity,
+            m.shed_permanent,
+            m.retries,
+            m.retries_exhausted,
+            m.dropped_at_drain,
+            m.failures_injected,
+            m.degrades_injected,
+            m.failures_detected,
+            m.failures_recovered,
+            m.in_flight_failures,
+            m.failed_permanent,
+            m.failover_redistributed,
+            m.events_processed,
+            m.tokens_generated,
+            m.tokens_prefilled,
+            m.decode_steps,
+            m.kv_deferrals,
+        ] {
+            self.word(c.get());
+        }
+        for h in [
+            &m.batch_sizes,
+            &m.decode_batch,
+            &m.queue_wait_s,
+            &m.time_to_detect_s,
+            &m.time_to_recover_s,
+        ] {
+            self.histogram(h);
+        }
+        for v in [&m.per_server_busy_s, &m.per_server_down_s] {
+            self.word(v.len() as u64);
+            v.iter().for_each(|&x| self.float(x));
+        }
+        self.word(m.per_server_completed.len() as u64);
+        m.per_server_completed.iter().for_each(|&c| self.word(c));
+    }
+
+    fn recording(&mut self, rec: &Recorder) {
+        for e in rec.events() {
+            self.float(e.t_s);
+            self.text(e.track.name);
+            self.word(u64::from(e.track.index));
+            self.word(match e.phase {
+                SpanPhase::Begin => 0,
+                SpanPhase::End => 1,
+                SpanPhase::Instant => 2,
+            });
+            self.text(&e.name);
+            self.word(e.id);
+            self.word(e.arg as u64);
+        }
+        for (name, &value) in rec.counters() {
+            self.text(name);
+            self.word(value);
+        }
+    }
+}
+
+/// Pins the decode loop's observable behaviour: every report bit
+/// (including the order-dependent `mean_s` sums) and every recorded
+/// event and counter, over a battery covering both batching modes,
+/// single-token, fixed, uniform and geometric outputs, batch caps 1 and
+/// 24, KV capacity at 1x and 3x the worst-case footprint, arrivals fast
+/// enough to queue, and an E25-shaped config. A pure speed change to
+/// the engine must leave the constant unchanged.
+#[test]
+fn decode_loop_reports_and_streams_are_pinned() {
+    let lat = gen_latency();
+    let mut configs = Vec::new();
+    for mode in [BatchingMode::Continuous, BatchingMode::Static] {
+        for output in [
+            TokenDistribution::Fixed(1),
+            TokenDistribution::Fixed(5),
+            TokenDistribution::Uniform { min: 1, max: 40 },
+            TokenDistribution::Geometric {
+                mean: 12.0,
+                max: 64,
+            },
+        ] {
+            for max_batch in [1, 24] {
+                for kv_mult in [1, 3] {
+                    for rate in [30.0, 600.0] {
+                        let model = GenerationModel {
+                            prompt: TokenDistribution::Uniform { min: 1, max: 200 },
+                            output,
+                            kv_bytes_per_token: 4096,
+                        };
+                        configs.push(GenConfig {
+                            arrival_rate_rps: rate,
+                            requests: 150,
+                            seed: 1000 + configs.len() as u64,
+                            mode,
+                            max_batch,
+                            kv_capacity_bytes: model.peak_request_kv_bytes() * kv_mult,
+                            ttft_slo_s: Some(0.25),
+                            model,
+                        });
+                    }
+                }
+            }
+        }
+        // E25's shape: batch cap 24, geometric outputs with mean 64
+        // capped at 256, KV for a few worst-case requests, overloaded.
+        let model = GenerationModel {
+            prompt: TokenDistribution::Uniform { min: 64, max: 1024 },
+            output: TokenDistribution::Geometric {
+                mean: 64.0,
+                max: 256,
+            },
+            kv_bytes_per_token: 512 * 1024,
+        };
+        configs.push(GenConfig {
+            arrival_rate_rps: 150.0,
+            requests: 400,
+            seed: 25,
+            mode,
+            max_batch: 24,
+            kv_capacity_bytes: model.peak_request_kv_bytes() * 12,
+            ttft_slo_s: Some(0.25),
+            model,
+        });
+    }
+    let mut fold = Fold(0xcbf2_9ce4_8422_2325);
+    let (mut queued, mut deferred, mut padded) = (false, false, false);
+    for cfg in &configs {
+        let plain = simulate_generation(&lat, cfg).expect("battery config is valid");
+        let mut rec = Recorder::with_capacity(1 << 20);
+        let recorded = simulate_generation_recorded(&lat, cfg, &mut rec).expect("valid");
+        assert_eq!(plain, recorded);
+        assert_eq!(rec.dropped(), 0);
+        fold.report(&plain);
+        fold.recording(&rec);
+        let m = &plain.metrics;
+        queued |= m.queue_wait_s.max() > 0.0;
+        deferred |= m.kv_deferrals.get() > 0;
+        padded |= m.decode_batch.sum() > m.tokens_generated.get() as f64;
+    }
+    // The battery reaches the paths it claims to pin.
+    assert!(queued && deferred && padded, "{queued} {deferred} {padded}");
+    assert_eq!(
+        fold.0, 0x9dca_fbc0_8228_d745,
+        "decode-loop pin moved: got {:#018x}",
+        fold.0
     );
 }
