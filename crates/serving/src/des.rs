@@ -30,10 +30,13 @@ use tpu_telemetry::{EventSink, NullSink, Recorder, SpanPhase, TelemetryEvent, Tr
 
 use crate::arena::{Handle, SlotArena};
 use crate::faults::{FailoverConfig, FaultKind, FaultPlan, ScheduledFault};
-use crate::genmodel::GenerationModel;
-use crate::latency::{GenLatencyModel, LatencyModel};
+use crate::latency::LatencyModel;
 use crate::metrics::ServingMetrics;
 use crate::stats::LatencyStats;
+
+pub use crate::generation::{
+    simulate_generation, simulate_generation_recorded, BatchingMode, GenConfig, GenReport,
+};
 
 /// Configuration of one serving run.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -120,7 +123,7 @@ pub const MAX_REQUESTS: usize = u32::MAX as usize - 1;
 pub const MAX_SERVERS: usize = (1 << 29) - 1;
 
 /// The request-count check shared by the fleet and decode-loop configs.
-fn validate_requests(requests: usize) -> Result<(), ConfigError> {
+pub(crate) fn validate_requests(requests: usize) -> Result<(), ConfigError> {
     if requests == 0 {
         return Err(ConfigError::ZeroRequests);
     }
@@ -879,7 +882,7 @@ enum ShedReason {
 /// seeded by `seed`. Two passes keep the uniform draws and the `ln`
 /// evaluations in separate tight loops; the draw order — and therefore
 /// every bit of every arrival time — is that of one interleaved loop.
-fn poisson_arrivals(seed: u64, n: usize, rate_rps: f64) -> Vec<f64> {
+pub(crate) fn poisson_arrivals(seed: u64, n: usize, rate_rps: f64) -> Vec<f64> {
     let mut rng = StdRng::seed_from_u64(seed);
     let mut arrivals = Vec::with_capacity(n);
     for _ in 0..n {
@@ -995,13 +998,13 @@ pub fn simulate_fleet_recorded(
 }
 
 /// The fleet-wide telemetry track (request-lifecycle instants).
-const FLEET: Track = Track {
+pub(crate) const FLEET: Track = Track {
     name: "fleet",
     index: 0,
 };
 
 /// The per-replica telemetry track (queued/batch/down spans, faults).
-fn server_track(s: usize) -> Track {
+pub(crate) fn server_track(s: usize) -> Track {
     Track {
         name: "server",
         index: s as u32,
@@ -2031,654 +2034,6 @@ impl<'a, S: EventSink> Engine<'a, S> {
     }
 }
 
-// ---------------------------------------------------------------------------
-// Autoregressive generation: the decode-loop scheduler.
-// ---------------------------------------------------------------------------
-
-/// How the decode loop packs requests into the in-flight batch.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum BatchingMode {
-    /// A batch forms only when the engine is idle and then decodes until
-    /// **every** member finishes: requests that finish early keep their
-    /// slot and KV reservation until the whole batch retires. This is
-    /// the padding waste continuous batching exists to eliminate.
-    Static,
-    /// Requests join and leave the in-flight batch at decode-step
-    /// boundaries: a finished request frees its slot and KV immediately
-    /// and a waiting request is admitted at the very next boundary.
-    Continuous,
-}
-
-/// Configuration of one autoregressive serving run
-/// (see [`simulate_generation`]).
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct GenConfig {
-    /// Mean request arrival rate (Poisson), requests/second.
-    pub arrival_rate_rps: f64,
-    /// Number of requests to simulate.
-    pub requests: usize,
-    /// RNG seed. Arrival times and token draws are pure functions of it
-    /// (separate streams, so the request count never perturbs tokens).
-    pub seed: u64,
-    /// Static or continuous batching.
-    pub mode: BatchingMode,
-    /// Cap on the number of requests decoding concurrently.
-    pub max_batch: u64,
-    /// HBM bytes available for KV-cache on this replica — chip HBM
-    /// minus the resident weights. Admission reserves a request's full
-    /// worst-case footprint here; on overflow the request is
-    /// **deferred**, never shed.
-    pub kv_capacity_bytes: u64,
-    /// TTFT SLO for goodput accounting, seconds. `None`: every
-    /// completion counts as good.
-    pub ttft_slo_s: Option<f64>,
-    /// Request shape: token distributions and per-token KV bytes.
-    pub model: GenerationModel,
-}
-
-impl GenConfig {
-    /// Checks every knob.
-    ///
-    /// # Errors
-    ///
-    /// [`ConfigError`] for degenerate rates, counts (including more than
-    /// [`MAX_REQUESTS`] requests), SLOs, or token distributions, and
-    /// [`ConfigError::KvCapacityTooSmall`] when the capacity cannot hold
-    /// even one worst-case request (the FIFO head could then be deferred
-    /// forever).
-    pub fn validate(&self) -> Result<(), ConfigError> {
-        if !self.arrival_rate_rps.is_finite() || self.arrival_rate_rps <= 0.0 {
-            return Err(ConfigError::NonPositiveArrivalRate(self.arrival_rate_rps));
-        }
-        validate_requests(self.requests)?;
-        if self.max_batch == 0 {
-            return Err(ConfigError::ZeroMaxBatch);
-        }
-        if let Some(s) = self.ttft_slo_s {
-            if !s.is_finite() || s <= 0.0 {
-                return Err(ConfigError::InvalidTtftSlo(s));
-            }
-        }
-        self.model.validate()?;
-        let need = self.model.peak_request_kv_bytes();
-        if self.kv_capacity_bytes < need {
-            return Err(ConfigError::KvCapacityTooSmall {
-                need,
-                capacity: self.kv_capacity_bytes,
-            });
-        }
-        Ok(())
-    }
-}
-
-/// The result of one generation run.
-#[derive(Debug, Clone, PartialEq)]
-pub struct GenReport {
-    /// Time-to-first-token over completed requests, seconds.
-    pub ttft_stats: LatencyStats,
-    /// p50 TTFT shorthand, seconds.
-    pub p50_ttft_s: f64,
-    /// p99 TTFT shorthand, seconds (the interactive SLO metric).
-    pub p99_ttft_s: f64,
-    /// Time-per-output-token, seconds: each completed request with at
-    /// least two output tokens contributes its mean decode interval
-    /// `(finish - first_token) / (output - 1)`.
-    pub tpot_stats: LatencyStats,
-    /// p99 TPOT shorthand, seconds.
-    pub p99_tpot_s: f64,
-    /// End-to-end (arrival to last token) latency, seconds.
-    pub e2e_stats: LatencyStats,
-    /// Completions per second of simulated time.
-    pub throughput_rps: f64,
-    /// Completions whose TTFT met the SLO, per second (equals
-    /// `throughput_rps` when no SLO is set).
-    pub goodput_rps: f64,
-    /// Generated (decode) tokens per second.
-    pub tokens_per_s: f64,
-    /// Requests offered.
-    pub arrivals: usize,
-    /// Requests that finished their full decode. The decode loop defers
-    /// admission under KV pressure instead of shedding, so this always
-    /// equals `arrivals`.
-    pub completed: usize,
-    /// Σ sampled output tokens over completed requests.
-    pub output_tokens: u64,
-    /// Σ sampled prompt tokens over completed requests.
-    pub prompt_tokens: u64,
-    /// Peak KV-cache reservation over the run, bytes.
-    pub kv_peak_bytes: u64,
-    /// The RNG seed the run used.
-    pub seed: u64,
-    /// Simulated length of the run, seconds.
-    pub duration_s: f64,
-    /// Counters and histograms collected during the run.
-    pub metrics: ServingMetrics,
-}
-
-impl GenReport {
-    /// Per-token conservation: every offered request completed, every
-    /// generated token is accounted against a completed request's
-    /// sampled output length, and every prompt token was prefilled
-    /// exactly once. The two sides come from independent accounting
-    /// paths (step-time counters vs completion-time sums), so drift in
-    /// either shows up here.
-    pub fn conservation_holds(&self) -> bool {
-        self.arrivals == self.completed
-            && self.metrics.tokens_generated.get() == self.output_tokens
-            && self.metrics.tokens_prefilled.get() == self.prompt_tokens
-    }
-}
-
-/// Lifecycle of one generation request.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum GenPhase {
-    /// Arrived, waiting for a batch slot and a KV reservation.
-    Waiting,
-    /// In the in-flight batch.
-    Decoding,
-    /// All output tokens generated.
-    Done,
-}
-
-/// The hot per-request decode progress pair, kept contiguous (and
-/// separate from the cold arrival/first-token fields) for the
-/// per-member step loop.
-#[derive(Debug, Clone, Copy)]
-struct Prog {
-    generated: u64,
-    output: u64,
-}
-
-/// Salt separating the token-draw stream from the arrival stream: both
-/// derive from `cfg.seed`, but changing the arrival rate or request
-/// count never perturbs the token draws and vice versa.
-const GEN_TOKEN_SALT: u64 = 0xA076_1D64_78BD_642F;
-
-/// The decode-loop state machine (one replica). Same telemetry contract
-/// as [`Engine`]: every instrumentation site is gated on `S::ENABLED`,
-/// so the [`NullSink`] instantiation monomorphizes to the bare engine
-/// and recorded runs return bit-identical reports.
-///
-/// Only two event sources exist — the next arrival and the end of the
-/// in-flight decode step — so the loop needs no heap: it repeatedly
-/// takes the earlier of the two (arrival first on ties, matching the
-/// schedule-order discipline of the fleet engine and letting a request
-/// that lands exactly on a boundary join it).
-struct GenEngine<'a, S: EventSink> {
-    sink: S,
-    lat: &'a GenLatencyModel,
-    cfg: GenConfig,
-    /// Pre-drawn Poisson arrival times.
-    arrivals: Vec<f64>,
-    /// Struct-of-arrays request state: decode progress (hot, walked
-    /// every step) apart from the cold per-request fields.
-    prog: Vec<Prog>,
-    prompt: Vec<u64>,
-    arrival: Vec<f64>,
-    /// Absolute first-token time (valid once `generated >= 1`).
-    first_token: Vec<f64>,
-    phase: Vec<GenPhase>,
-    /// Precomputed full prompt+output KV footprint per request.
-    kv_need: Vec<u64>,
-    /// Decode-step latency per batch size (index = size), so the step
-    /// launch does no interpolation.
-    decode_cache: Vec<f64>,
-    /// Arrived, unadmitted requests in arrival order. Admission is
-    /// strict FIFO: a KV-blocked head is never skipped, so a large
-    /// request cannot starve behind a stream of small ones.
-    waiting: VecDeque<u32>,
-    /// The in-flight batch (request indices, admission order).
-    batch: Vec<u32>,
-    /// Bytes currently reserved against `kv_capacity_bytes`.
-    kv_reserved: u64,
-    kv_peak: u64,
-    /// End time of the in-flight decode step, if one is running.
-    step_end: Option<f64>,
-    /// Decode steps launched so far (telemetry ids).
-    steps: u64,
-    next_arrival: usize,
-    ttfts: Vec<f64>,
-    tpots: Vec<f64>,
-    e2e: Vec<f64>,
-    completed: usize,
-    good: usize,
-    output_tokens: u64,
-    prompt_tokens: u64,
-    end_time: f64,
-    metrics: ServingMetrics,
-}
-
-impl<'a, S: EventSink> GenEngine<'a, S> {
-    fn new(lat: &'a GenLatencyModel, cfg: &GenConfig, sink: S) -> GenEngine<'a, S> {
-        let n = cfg.requests;
-        let mut token_rng = StdRng::seed_from_u64(cfg.seed ^ GEN_TOKEN_SALT);
-        let mut prog = Vec::with_capacity(n);
-        let mut prompt = Vec::with_capacity(n);
-        let mut kv_need = Vec::with_capacity(n);
-        for _ in 0..n {
-            let (p, o) = cfg.model.sample(&mut token_rng);
-            prog.push(Prog {
-                generated: 0,
-                output: o,
-            });
-            prompt.push(p);
-            kv_need.push(cfg.model.request_kv_bytes(p, o));
-        }
-        // Decode latency is a pure function of batch size and the run
-        // only probes 1..=max_batch, so interpolate once up front.
-        let cache_top = cfg.max_batch.min(4096) as usize;
-        let decode_cache = (0..=cache_top)
-            .map(|b| lat.decode_step_s((b as u64).max(1)))
-            .collect();
-        GenEngine {
-            sink,
-            lat,
-            cfg: *cfg,
-            arrivals: poisson_arrivals(cfg.seed, n, cfg.arrival_rate_rps),
-            prog,
-            prompt,
-            arrival: vec![0.0; n],
-            first_token: vec![0.0; n],
-            phase: vec![GenPhase::Waiting; n],
-            kv_need,
-            decode_cache,
-            waiting: VecDeque::new(),
-            batch: Vec::new(),
-            kv_reserved: 0,
-            kv_peak: 0,
-            step_end: None,
-            steps: 0,
-            next_arrival: 0,
-            ttfts: Vec::with_capacity(n),
-            tpots: Vec::with_capacity(n),
-            e2e: Vec::with_capacity(n),
-            completed: 0,
-            good: 0,
-            output_tokens: 0,
-            prompt_tokens: 0,
-            end_time: 0.0,
-            metrics: ServingMetrics::new(1),
-        }
-    }
-
-    #[inline(always)]
-    fn emit(
-        &mut self,
-        t_s: f64,
-        track: Track,
-        phase: SpanPhase,
-        name: &'static str,
-        id: u64,
-        arg: i64,
-    ) {
-        if S::ENABLED {
-            self.sink.record(TelemetryEvent {
-                t_s,
-                track,
-                phase,
-                name: Cow::Borrowed(name),
-                id,
-                arg,
-            });
-        }
-    }
-
-    fn touch(&mut self, now: f64) {
-        if now > self.end_time {
-            self.end_time = now;
-        }
-    }
-
-    /// Admits waiting requests into the batch (continuous: at every
-    /// boundary; static: only into an empty batch), then launches the
-    /// next decode step if anything is in flight.
-    ///
-    /// Admission reserves the request's **full** prompt+output KV
-    /// footprint — its residency at its final decode step — so a
-    /// reservation that fits now is guaranteed to fit for the request's
-    /// whole lifetime and mid-decode eviction never happens.
-    fn schedule(&mut self, now: f64) {
-        debug_assert!(self.step_end.is_none(), "step already in flight");
-        let may_admit = match self.cfg.mode {
-            BatchingMode::Continuous => true,
-            BatchingMode::Static => self.batch.is_empty(),
-        };
-        let mut prefill = 0.0;
-        if may_admit {
-            while (self.batch.len() as u64) < self.cfg.max_batch {
-                let Some(&r) = self.waiting.front() else {
-                    break;
-                };
-                let ri = r as usize;
-                let need = self.kv_need[ri];
-                if self.kv_reserved + need > self.cfg.kv_capacity_bytes {
-                    // KV is the binding constraint: defer (FIFO order
-                    // preserved, no skip-ahead) and account the stall.
-                    self.metrics.kv_deferrals.inc();
-                    self.emit(
-                        now,
-                        FLEET,
-                        SpanPhase::Instant,
-                        "kv_defer",
-                        r as u64,
-                        need as i64,
-                    );
-                    break;
-                }
-                self.waiting.pop_front();
-                self.kv_reserved += need;
-                self.phase[ri] = GenPhase::Decoding;
-                self.metrics.admitted.inc();
-                self.metrics.tokens_prefilled.add(self.prompt[ri]);
-                self.metrics.queue_wait_s.observe(now - self.arrival[ri]);
-                // Prefill is paid once, at join: the step that admits a
-                // request carries its full prompt cost.
-                prefill += self.lat.prefill_s(self.prompt[ri]);
-                self.batch.push(r);
-                // Residency span: admitted exactly once, so the request
-                // index is a unique begin/end pairing id.
-                self.emit(
-                    now,
-                    server_track(0),
-                    SpanPhase::Begin,
-                    "resident",
-                    r as u64,
-                    self.prompt[ri] as i64,
-                );
-            }
-            if self.kv_reserved > self.kv_peak {
-                self.kv_peak = self.kv_reserved;
-            }
-        }
-        if self.batch.is_empty() {
-            return; // Idle; the next arrival restarts the loop.
-        }
-        let b = self.batch.len() as u64;
-        let step = prefill + self.decode_step(b);
-        self.steps += 1;
-        self.metrics.decode_steps.inc();
-        self.metrics.decode_batch.observe(b as f64);
-        self.metrics.per_server_busy_s[0] += step;
-        self.emit(
-            now,
-            server_track(0),
-            SpanPhase::Instant,
-            "decode_step",
-            self.steps,
-            b as i64,
-        );
-        self.step_end = Some(now + step);
-    }
-
-    /// Decode latency for an in-range batch size from the precomputed
-    /// table; out-of-range (max_batch beyond the cache cap) falls back
-    /// to the model.
-    #[inline(always)]
-    fn decode_step(&self, b: u64) -> f64 {
-        match self.decode_cache.get(b as usize) {
-            Some(&s) => s,
-            None => self.lat.decode_step_s(b.max(1)),
-        }
-    }
-
-    /// One decode step just ended: every still-decoding member emits a
-    /// token, finished members retire per the batching mode, and the
-    /// next step (plus any admissions) launches.
-    fn step_done(&mut self, now: f64) {
-        self.step_end = None;
-        let mut emitted = 0u64;
-        for k in 0..self.batch.len() {
-            let r = self.batch[k] as usize;
-            let p = self.prog[r];
-            if p.generated >= p.output {
-                continue; // Static mode: done, padding the batch.
-            }
-            let g = p.generated + 1;
-            self.prog[r].generated = g;
-            emitted += 1;
-            if g == 1 {
-                self.first_token[r] = now;
-                self.emit(now, FLEET, SpanPhase::Instant, "first_token", r as u64, 0);
-            }
-            if g == p.output {
-                self.complete(r, now);
-            }
-        }
-        // Only the end-of-run value of this counter is observable, so
-        // the per-member increments collapse into one add.
-        self.metrics.tokens_generated.add(emitted);
-        match self.cfg.mode {
-            BatchingMode::Continuous => {
-                // Retire finished members immediately, preserving the
-                // admission order of the survivors.
-                let mut write = 0;
-                for k in 0..self.batch.len() {
-                    let r = self.batch[k];
-                    if self.phase[r as usize] == GenPhase::Done {
-                        self.release_kv(r as usize, now);
-                    } else {
-                        self.batch[write] = r;
-                        write += 1;
-                    }
-                }
-                self.batch.truncate(write);
-            }
-            BatchingMode::Static => {
-                // The batch retires only as a unit.
-                if self
-                    .batch
-                    .iter()
-                    .all(|&r| self.phase[r as usize] == GenPhase::Done)
-                {
-                    for k in 0..self.batch.len() {
-                        self.release_kv(self.batch[k] as usize, now);
-                    }
-                    self.batch.clear();
-                }
-            }
-        }
-        self.schedule(now);
-    }
-
-    /// Completion accounting for one request at its final token.
-    fn complete(&mut self, r: usize, now: f64) {
-        self.phase[r] = GenPhase::Done;
-        let output = self.prog[r].output;
-        let ttft = self.first_token[r] - self.arrival[r];
-        self.ttfts.push(ttft);
-        if output >= 2 {
-            self.tpots
-                .push((now - self.first_token[r]) / (output - 1) as f64);
-        }
-        self.e2e.push(now - self.arrival[r]);
-        self.completed += 1;
-        self.metrics.completed.inc();
-        self.metrics.per_server_completed[0] += 1;
-        self.output_tokens += output;
-        self.prompt_tokens += self.prompt[r];
-        match self.cfg.ttft_slo_s {
-            Some(slo) if ttft > slo => self.metrics.completed_late.inc(),
-            _ => self.good += 1,
-        }
-        self.emit(
-            now,
-            FLEET,
-            SpanPhase::Instant,
-            "complete",
-            r as u64,
-            output as i64,
-        );
-        self.touch(now);
-    }
-
-    /// Releases one retired member's KV reservation and closes its
-    /// residency span.
-    fn release_kv(&mut self, r: usize, now: f64) {
-        let need = self.kv_need[r];
-        debug_assert!(self.kv_reserved >= need, "KV release exceeds reservation");
-        self.kv_reserved -= need;
-        self.emit(
-            now,
-            server_track(0),
-            SpanPhase::End,
-            "resident",
-            r as u64,
-            self.prog[r].output as i64,
-        );
-    }
-
-    fn run(mut self) -> GenReport {
-        let n = self.cfg.requests;
-        loop {
-            let next_arr = (self.next_arrival < n).then(|| self.arrivals[self.next_arrival]);
-            let (now, is_arrival) = match (next_arr, self.step_end) {
-                (None, None) => break,
-                (Some(a), None) => (a, true),
-                (None, Some(s)) => (s, false),
-                (Some(a), Some(s)) => {
-                    if a <= s {
-                        (a, true)
-                    } else {
-                        (s, false)
-                    }
-                }
-            };
-            self.metrics.events_processed.inc();
-            if is_arrival {
-                let i = self.next_arrival;
-                self.next_arrival += 1;
-                self.arrive(i, now);
-            } else {
-                self.step_done(now);
-            }
-        }
-        self.finish()
-    }
-
-    /// Arrival bookkeeping: the request joins the FIFO wait queue, and
-    /// an idle engine schedules at once.
-    #[inline(always)]
-    fn arrive(&mut self, i: usize, now: f64) {
-        self.touch(now);
-        self.metrics.arrivals.inc();
-        self.arrival[i] = now;
-        self.emit(
-            now,
-            FLEET,
-            SpanPhase::Instant,
-            "arrive",
-            i as u64,
-            self.prompt[i] as i64,
-        );
-        self.waiting.push_back(i as u32);
-        if self.step_end.is_none() {
-            self.schedule(now);
-        }
-    }
-
-    fn finish(self) -> GenReport {
-        // Validation guarantees any single request fits an empty-batch
-        // KV, arrivals are finite, and outputs are bounded — so the
-        // loop drains completely.
-        debug_assert!(self.waiting.is_empty(), "decode loop drained");
-        debug_assert!(self.batch.is_empty(), "decode loop drained");
-        debug_assert_eq!(self.kv_reserved, 0, "KV accounting drift");
-        debug_assert_eq!(
-            self.completed, self.cfg.requests,
-            "per-request conservation"
-        );
-        let mut metrics = self.metrics;
-        metrics.kv_peak_bytes = self.kv_peak;
-        let ttft_stats = LatencyStats::from_samples(&self.ttfts);
-        let tpot_stats = LatencyStats::from_samples(&self.tpots);
-        let e2e_stats = LatencyStats::from_samples(&self.e2e);
-        let total = self.end_time.max(1e-12);
-        GenReport {
-            p50_ttft_s: ttft_stats.p50_s,
-            p99_ttft_s: ttft_stats.p99_s,
-            p99_tpot_s: tpot_stats.p99_s,
-            ttft_stats,
-            tpot_stats,
-            e2e_stats,
-            throughput_rps: self.completed as f64 / total,
-            goodput_rps: self.good as f64 / total,
-            tokens_per_s: metrics.tokens_generated.get() as f64 / total,
-            arrivals: self.cfg.requests,
-            completed: self.completed,
-            output_tokens: self.output_tokens,
-            prompt_tokens: self.prompt_tokens,
-            kv_peak_bytes: self.kv_peak,
-            seed: self.cfg.seed,
-            duration_s: self.end_time,
-            metrics,
-        }
-    }
-}
-
-/// Rejects prefill/decode curves that evaluate non-positive or
-/// non-finite anywhere the run can probe them. Both curves are monotone
-/// (construction repairs them), so checking the extremes suffices.
-fn validate_gen_latency(lat: &GenLatencyModel, cfg: &GenConfig) -> Result<(), ConfigError> {
-    let probes = [
-        lat.prefill_s(1),
-        lat.prefill_s(cfg.model.prompt.max_tokens()),
-        lat.decode_step_s(1),
-        lat.decode_step_s(cfg.max_batch),
-    ];
-    for t in probes {
-        if !t.is_finite() || t <= 0.0 {
-            return Err(ConfigError::NonPositiveGenLatency(t));
-        }
-    }
-    Ok(())
-}
-
-/// Simulates autoregressive serving on one replica: Poisson arrivals,
-/// per-request sampled prompt/output token counts, a prefill-at-join /
-/// decode-step loop, and KV-cache HBM as a first-class constrained
-/// resource (reserved at admission, deferred — never shed — on
-/// overflow).
-///
-/// The run is a pure function of `(lat, cfg)` including the seed;
-/// [`GenReport::conservation_holds`] cross-checks per-token accounting.
-///
-/// # Errors
-///
-/// [`ConfigError`] for degenerate configurations or latency curves.
-pub fn simulate_generation(
-    lat: &GenLatencyModel,
-    cfg: &GenConfig,
-) -> Result<GenReport, ConfigError> {
-    cfg.validate()?;
-    validate_gen_latency(lat, cfg)?;
-    Ok(GenEngine::new(lat, cfg, NullSink).run())
-}
-
-/// Everything [`simulate_generation`] does, with the decode lifecycle
-/// recorded into `recorder`: `arrive` / `first_token` / `complete` /
-/// `kv_defer` instants on the fleet track, per-request `resident` KV
-/// spans and `decode_step` instants on the replica track, and exact
-/// per-event-name counters (including `events_processed`).
-///
-/// Telemetry is derived from, never an input to, simulation state: the
-/// returned report is bit-identical to [`simulate_generation`] for the
-/// same config.
-///
-/// # Errors
-///
-/// [`ConfigError`] for degenerate configurations or latency curves.
-pub fn simulate_generation_recorded(
-    lat: &GenLatencyModel,
-    cfg: &GenConfig,
-    recorder: &mut Recorder,
-) -> Result<GenReport, ConfigError> {
-    cfg.validate()?;
-    validate_gen_latency(lat, cfg)?;
-    let report = GenEngine::new(lat, cfg, &mut *recorder).run();
-    recorder.add_counter("events_processed", report.metrics.events_processed.get());
-    Ok(report)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -3646,251 +3001,5 @@ mod tests {
         assert!(r.conservation_holds());
         assert_eq!(r.metrics.per_server_completed[2], 0);
         assert_eq!(r.metrics.per_server_busy_s[2], 0.0);
-    }
-
-    // ---- decode-loop scheduler ----------------------------------------
-
-    use crate::genmodel::TokenDistribution;
-    use crate::latency::GenLatencyModel;
-
-    /// ~1 ms + 9 us/token prefill; ~3 ms decode step, nearly flat in
-    /// batch (weight-streaming economics).
-    fn gen_latency() -> GenLatencyModel {
-        GenLatencyModel {
-            prefill: LatencyModel::from_points(vec![(1, 0.001), (1000, 0.01)]).unwrap(),
-            decode: LatencyModel::from_points(vec![(1, 0.003), (32, 0.004)]).unwrap(),
-        }
-    }
-
-    fn gen_cfg(rate: f64, mode: BatchingMode) -> GenConfig {
-        GenConfig {
-            arrival_rate_rps: rate,
-            requests: 400,
-            seed: 7,
-            mode,
-            max_batch: 8,
-            kv_capacity_bytes: 10_000_000,
-            ttft_slo_s: Some(0.2),
-            model: GenerationModel {
-                prompt: TokenDistribution::Fixed(100),
-                output: TokenDistribution::Uniform { min: 1, max: 64 },
-                kv_bytes_per_token: 1000,
-            },
-        }
-    }
-
-    #[test]
-    fn gen_light_load_ttft_is_prefill_plus_one_step() {
-        let lat = gen_latency();
-        let mut cfg = gen_cfg(1.0, BatchingMode::Continuous);
-        cfg.requests = 50;
-        let r = simulate_generation(&lat, &cfg).unwrap();
-        assert!(r.conservation_holds());
-        // A request arriving to an idle engine sees its own prefill plus
-        // one batch-1 decode step before its first token.
-        let expected = lat.prefill_s(100) + lat.decode_step_s(1);
-        assert!(
-            (r.p50_ttft_s - expected).abs() < 1e-3,
-            "p50 TTFT {} vs expected {expected}",
-            r.p50_ttft_s
-        );
-        assert!(r.e2e_stats.p50_s > r.p50_ttft_s);
-        assert!(r.tokens_per_s > 0.0);
-        assert_eq!(r.kv_peak_bytes, r.metrics.kv_peak_bytes);
-        assert!(r.kv_peak_bytes <= cfg.kv_capacity_bytes);
-    }
-
-    #[test]
-    fn gen_deterministic_given_seed() {
-        let lat = gen_latency();
-        let cfg = gen_cfg(40.0, BatchingMode::Continuous);
-        let a = simulate_generation(&lat, &cfg).unwrap();
-        let b = simulate_generation(&lat, &cfg).unwrap();
-        assert_eq!(a, b);
-        let mut c2 = cfg;
-        c2.seed = 8;
-        let c = simulate_generation(&lat, &c2).unwrap();
-        assert_ne!(a.ttft_stats.mean_s, c.ttft_stats.mean_s);
-    }
-
-    #[test]
-    fn gen_continuous_equals_static_at_output_one() {
-        // With every output exactly one token, each batch member
-        // finishes at its first step boundary, so the batch always
-        // drains completely and both modes make identical admission
-        // decisions — the reports must match bit for bit.
-        let lat = gen_latency();
-        for rate in [5.0, 60.0, 300.0] {
-            let mut stat = gen_cfg(rate, BatchingMode::Static);
-            stat.model.output = TokenDistribution::Fixed(1);
-            let mut cont = stat;
-            cont.mode = BatchingMode::Continuous;
-            let a = simulate_generation(&lat, &stat).unwrap();
-            let b = simulate_generation(&lat, &cont).unwrap();
-            assert_eq!(a.metrics, b.metrics, "rate {rate}");
-            assert_eq!(a, b, "rate {rate}");
-        }
-    }
-
-    #[test]
-    fn gen_continuous_beats_static_under_overload() {
-        // Variable output lengths make static batches pad: every member
-        // waits for the slowest draw. Continuous refills those slots, so
-        // under overload it finishes sooner and keeps TTFT bounded.
-        let lat = gen_latency();
-        let stat = simulate_generation(&lat, &gen_cfg(60.0, BatchingMode::Static)).unwrap();
-        let cont = simulate_generation(&lat, &gen_cfg(60.0, BatchingMode::Continuous)).unwrap();
-        assert!(stat.conservation_holds());
-        assert!(cont.conservation_holds());
-        assert!(
-            cont.goodput_rps > stat.goodput_rps,
-            "continuous goodput {} vs static {}",
-            cont.goodput_rps,
-            stat.goodput_rps
-        );
-        assert!(
-            cont.p99_ttft_s < stat.p99_ttft_s,
-            "continuous p99 TTFT {} vs static {}",
-            cont.p99_ttft_s,
-            stat.p99_ttft_s
-        );
-        assert!(cont.tokens_per_s > stat.tokens_per_s);
-    }
-
-    #[test]
-    fn gen_kv_pressure_defers_not_sheds() {
-        // Capacity for ~2 worst-case requests while max_batch allows 8:
-        // KV is the binding constraint, and the engine must defer (never
-        // drop) yet still complete everything.
-        let lat = gen_latency();
-        let mut cfg = gen_cfg(100.0, BatchingMode::Continuous);
-        cfg.model.output = TokenDistribution::Fixed(10);
-        cfg.kv_capacity_bytes = 250_000; // need = 110_000 per request
-        let r = simulate_generation(&lat, &cfg).unwrap();
-        assert!(r.conservation_holds());
-        assert_eq!(r.completed, cfg.requests);
-        assert!(r.metrics.kv_deferrals.get() > 0, "KV never bound");
-        assert!(r.kv_peak_bytes <= cfg.kv_capacity_bytes);
-        // At most two concurrent reservations fit.
-        assert!(r.metrics.decode_batch.max() <= 2.0);
-    }
-
-    #[test]
-    fn gen_arrival_on_a_step_boundary_joins_that_step() {
-        // The decode loop's tie rule: an arrival landing exactly on a
-        // step boundary is handled first, so it joins the step launched
-        // at that boundary. Every time here is an exact binary
-        // fraction, so the tie is bit-exact: request 0 arrives at 0.5,
-        // its first step (prefill 0.125 + decode 0.125) ends at 0.75,
-        // and request 1 arrives at 0.75.
-        let lat = GenLatencyModel {
-            prefill: LatencyModel::from_points(vec![(1, 0.125), (1000, 0.25)]).unwrap(),
-            decode: LatencyModel::from_points(vec![(1, 0.125), (32, 0.25)]).unwrap(),
-        };
-        let mut cfg = gen_cfg(1.0, BatchingMode::Continuous);
-        cfg.requests = 2;
-        cfg.model.prompt = TokenDistribution::Fixed(1);
-        cfg.model.output = TokenDistribution::Fixed(3);
-        let mut rec = Recorder::new();
-        let mut engine = GenEngine::new(&lat, &cfg, &mut rec);
-        engine.arrivals = vec![0.5, 0.75];
-        let r = engine.run();
-        assert!(r.conservation_holds());
-        // Neither request waited: request 1 joined step 2 at 0.75. Had
-        // the step ended first, step 2 would have launched with request
-        // 0 alone and request 1 would have waited for step 3.
-        assert_eq!(r.metrics.queue_wait_s.max(), 0.0);
-        let steps: Vec<(u64, i64)> = rec
-            .events()
-            .filter(|e| e.name == "decode_step")
-            .map(|e| (e.id, e.arg))
-            .collect();
-        assert_eq!(steps[..2], [(1, 1), (2, 2)], "(step, decode batch)");
-    }
-
-    #[test]
-    fn gen_config_validation() {
-        let lat = gen_latency();
-        let ok = gen_cfg(40.0, BatchingMode::Continuous);
-        assert!(simulate_generation(&lat, &ok).is_ok());
-
-        let mut bad = ok;
-        bad.arrival_rate_rps = 0.0;
-        assert!(matches!(
-            simulate_generation(&lat, &bad),
-            Err(ConfigError::NonPositiveArrivalRate(_))
-        ));
-        let mut bad = ok;
-        bad.requests = 0;
-        assert_eq!(
-            simulate_generation(&lat, &bad),
-            Err(ConfigError::ZeroRequests)
-        );
-        // Request ids are `u32` in the decode loop too.
-        let mut bad = ok;
-        bad.requests = u32::MAX as usize;
-        assert_eq!(
-            simulate_generation(&lat, &bad),
-            Err(ConfigError::TooManyRequests(u32::MAX as usize))
-        );
-        let mut bad = ok;
-        bad.max_batch = 0;
-        assert_eq!(
-            simulate_generation(&lat, &bad),
-            Err(ConfigError::ZeroMaxBatch)
-        );
-        let mut bad = ok;
-        bad.ttft_slo_s = Some(-1.0);
-        assert!(matches!(
-            simulate_generation(&lat, &bad),
-            Err(ConfigError::InvalidTtftSlo(_))
-        ));
-        let mut bad = ok;
-        bad.model.kv_bytes_per_token = 0;
-        assert_eq!(
-            simulate_generation(&lat, &bad),
-            Err(ConfigError::ZeroKvBytesPerToken)
-        );
-        // Worst-case request: (100 + 64) * 1000 = 164_000 bytes.
-        let mut bad = ok;
-        bad.kv_capacity_bytes = 163_999;
-        assert_eq!(
-            simulate_generation(&lat, &bad),
-            Err(ConfigError::KvCapacityTooSmall {
-                need: 164_000,
-                capacity: 163_999
-            })
-        );
-        // A zero-latency decode curve is rejected at the entry point.
-        let degenerate = GenLatencyModel {
-            prefill: gen_latency().prefill,
-            decode: LatencyModel::from_points(vec![(1, 0.0)]).unwrap(),
-        };
-        assert!(matches!(
-            simulate_generation(&degenerate, &ok),
-            Err(ConfigError::NonPositiveGenLatency(_))
-        ));
-    }
-
-    #[test]
-    fn gen_config_error_displays() {
-        for (err, needle) in [
-            (ConfigError::ZeroTokens, "token counts"),
-            (ConfigError::EmptyTokenRange { min: 9, max: 2 }, "[9, 2]"),
-            (ConfigError::InvalidTokenMean(0.5), "token mean"),
-            (ConfigError::ZeroKvBytesPerToken, "kv_bytes_per_token"),
-            (
-                ConfigError::KvCapacityTooSmall {
-                    need: 10,
-                    capacity: 5,
-                },
-                "worst-case request",
-            ),
-            (ConfigError::InvalidTtftSlo(-1.0), "ttft_slo_s"),
-            (ConfigError::NonPositiveGenLatency(0.0), "prefill/decode"),
-        ] {
-            let msg = format!("{err}");
-            assert!(msg.contains(needle), "{msg:?} missing {needle:?}");
-        }
     }
 }
