@@ -1,401 +1,87 @@
 //! Microbenchmarks of the substrates: compiler throughput, simulator
-//! event rate, ISA round trips, quantization, bf16 conversion, the
-//! serving DES (plain, overloaded fleet, chaos fleet).
+//! event rate, ISA round trips, quantization and bf16 conversion.
 //!
 //! ```text
 //! cargo bench -p tpu-bench --bench micro
-//! cargo bench -p tpu-bench --bench micro -- serving            # one group
+//! cargo bench -p tpu-bench --bench micro -- compile            # one group
 //! cargo bench -p tpu-bench --bench micro -- --measurement-ms 200
-//! cargo bench -p tpu-bench --bench micro -- serving --json BENCH_serving.json
 //! ```
 //!
-//! `--json <path>` writes the measured stats (ns/iter, iters/sec, and —
-//! for the DES benches — ns/event and events/sec, plus the E21+E22
-//! sweep wall-clock) as a machine-readable baseline for CI regression
-//! tracking. `BENCH_serving.json` at the repo root is the committed
-//! baseline, regenerated by the CI bench-smoke job.
-//!
-//! `--check-against <baseline.json>` compares the measured ns/event of
-//! the DES fleet benches to the committed baseline and exits nonzero if
-//! any exceeds it by more than `--tolerance-pct <N>` percent (default
-//! 25). This is the telemetry-off overhead gate: the instrumented
-//! engine, compiled with the null sink, must stay at the baseline.
+//! The serving engines are timed by perfbench instead (`--trace 1`
+//! reports ns/event per engine), and their host-independent work counts
+//! are pinned by `tests/compile_alloc_budget.rs`.
 
-use std::time::{Duration, Instant};
+use std::time::Duration;
 
 use tpu_arch::{catalog, Generation};
-use tpu_bench::quick::{stats_to_json, Group, Stat};
+use tpu_bench::quick::Group;
 use tpu_hlo::{compile, CompilerOptions};
 use tpu_numerics::{Bf16, Quantized};
-use tpu_serving::des::{
-    simulate, simulate_fleet, simulate_fleet_with_faults, simulate_generation, BatchingMode,
-    FleetConfig, FleetPolicy, RetryPolicy, ServingConfig,
-};
-use tpu_serving::faults::{FailoverConfig, FaultPlan, MtbfFaults};
-use tpu_serving::latency::LatencyModel;
 use tpu_sim::Simulator;
 use tpu_workloads::production_apps;
 
-fn bench_compile(m: Duration) -> Vec<Stat> {
+fn bench_compile(m: Duration) {
     let chip = catalog::tpu_v4i();
     let options = CompilerOptions::default();
     let group = Group::new("compile").measurement_time(m);
-    production_apps()
-        .iter()
-        .map(|app| {
-            let graph = app.build(8).expect("builds");
-            group.bench(app.spec.name, || {
-                let exe = compile(&graph, &chip, &options).expect("compiles");
-                exe.plan().len()
-            })
-        })
-        .collect()
+    for app in production_apps() {
+        let graph = app.build(8).expect("builds");
+        group.bench(app.spec.name, || {
+            let exe = compile(&graph, &chip, &options).expect("compiles");
+            exe.plan().len()
+        });
+    }
 }
 
-fn bench_simulate(m: Duration) -> Vec<Stat> {
+fn bench_simulate(m: Duration) {
     let chip = catalog::tpu_v4i();
     let options = CompilerOptions::default();
     let sim = Simulator::new(chip.clone());
     let group = Group::new("simulate").measurement_time(m);
-    production_apps()
-        .iter()
-        .map(|app| {
-            let graph = app.build(8).expect("builds");
-            let exe = compile(&graph, &chip, &options).expect("compiles");
-            group.bench(app.spec.name, || {
-                sim.run(exe.plan()).expect("simulates").seconds
-            })
-        })
-        .collect()
+    for app in production_apps() {
+        let graph = app.build(8).expect("builds");
+        let exe = compile(&graph, &chip, &options).expect("compiles");
+        group.bench(app.spec.name, || {
+            sim.run(exe.plan()).expect("simulates").seconds
+        });
+    }
 }
 
-fn bench_isa_round_trip(m: Duration) -> Vec<Stat> {
+fn bench_isa_round_trip(m: Duration) {
     let chip = catalog::tpu_v4i();
     let graph = production_apps()[0].build(8).expect("builds");
     let exe = compile(&graph, &chip, &CompilerOptions::default()).expect("compiles");
     let group = Group::new("isa").measurement_time(m);
-    vec![group.bench("encode+decode", || {
+    group.bench("encode+decode", || {
         let bytes = exe.binary().expect("encodes");
         tpu_isa::decode(&bytes, Generation::TpuV4i)
             .expect("decodes")
             .len()
-    })]
+    });
 }
 
-fn bench_numerics(m: Duration) -> Vec<Stat> {
+fn bench_numerics(m: Duration) {
     let xs: Vec<f32> = (0..1_000_000)
         .map(|i| ((i * 2_654_435_761usize) % 1000) as f32 / 500.0 - 1.0)
         .collect();
     let group = Group::new("numerics").measurement_time(m);
-    vec![
-        group.bench("quantize/per-tensor-1M", || {
-            Quantized::per_tensor(&xs).expect("finite").codes.len()
-        }),
-        group.bench("bf16/convert-1M", || {
-            xs.iter()
-                .map(|&x| Bf16::from_f32(x).to_bits() as u32)
-                .sum::<u32>()
-        }),
-    ]
-}
-
-/// The overloaded single-server fleet config: expiry shedding on an
-/// uncapped queue — the path the indexed-removal/lazy-deletion overhaul
-/// targets.
-fn expiry_fleet() -> FleetConfig {
-    let base = ServingConfig {
-        arrival_rate_rps: 16_000.0,
-        max_batch: 32,
-        batch_timeout_s: 0.002,
-        requests: 20_000,
-        seed: 1,
-    };
-    FleetConfig::new(base.with_servers(1)).with_policy(FleetPolicy {
-        deadline_s: Some(0.05),
-        shed_expired: true,
-        queue_budget_s: Some(0.04),
-        queue_cap: None,
-        retry: RetryPolicy::default(),
-    })
-}
-
-/// The chaos fleet config: 4 servers, MTBF faults, failover on —
-/// exercises probes, redistribution, and retry backoff.
-fn chaos_fleet() -> (FleetConfig, FaultPlan) {
-    let base = ServingConfig {
-        arrival_rate_rps: 12_000.0,
-        max_batch: 16,
-        batch_timeout_s: 0.001,
-        requests: 20_000,
-        seed: 1,
-    };
-    let fleet = FleetConfig::new(base.with_servers(4)).with_policy(FleetPolicy {
-        deadline_s: Some(0.02),
-        shed_expired: true,
-        queue_budget_s: Some(0.015),
-        queue_cap: Some(256),
-        retry: RetryPolicy {
-            max_retries: 1,
-            backoff_s: 0.002,
-            backoff_mult: 2.0,
-        },
+    group.bench("quantize/per-tensor-1M", || {
+        Quantized::per_tensor(&xs).expect("finite").codes.len()
     });
-    let plan = FaultPlan {
-        scheduled: Vec::new(),
-        mtbf: Some(MtbfFaults {
-            mtbf_s: 0.3,
-            mttr_s: 0.05,
-            horizon_s: 2.0,
-        }),
-        fault_seed: 7,
-        failover: FailoverConfig {
-            enabled: true,
-            probe_interval_s: 0.002,
-            probe_timeout_s: 0.001,
-            recovery_warmup_s: 0.005,
-        },
-    };
-    (fleet, plan)
-}
-
-fn bench_serving(m: Duration) -> Vec<Stat> {
-    let model = LatencyModel::from_points(vec![(1, 0.001), (128, 0.008)]).expect("valid");
-    let group = Group::new("serving").measurement_time(m);
-    let mut stats = Vec::new();
-    stats.push(group.bench("des-10k-requests", || {
-        simulate(
-            &model,
-            &ServingConfig {
-                arrival_rate_rps: 5000.0,
-                max_batch: 32,
-                batch_timeout_s: 0.002,
-                requests: 10_000,
-                seed: 1,
-            },
-        )
-        .expect("valid config")
-        .p99_s
-    }));
-
-    // The fleet benches attach the DES event count as the work
-    // denominator, so the baseline reports ns/event — the number the
-    // hot-path overhaul is graded on.
-    let fleet = expiry_fleet();
-    let events = simulate_fleet(&model, &fleet)
-        .expect("valid config")
-        .metrics
-        .events_processed
-        .get();
-    stats.push(
-        group
-            .bench("fleet-expiry-20k", || {
-                simulate_fleet(&model, &fleet).expect("valid config").shed
-            })
-            .with_units(events),
-    );
-
-    let (fleet, plan) = chaos_fleet();
-    let events = simulate_fleet_with_faults(&model, &fleet, &plan)
-        .expect("valid config")
-        .metrics
-        .events_processed
-        .get();
-    stats.push(
-        group
-            .bench("fleet-chaos-20k", || {
-                simulate_fleet_with_faults(&model, &fleet, &plan)
-                    .expect("valid config")
-                    .failed
-            })
-            .with_units(events),
-    );
-
-    // The decode-loop scheduler under KV pressure (E25's engine): an
-    // overloaded continuous-batching run on the v4i-derived fixture.
-    let setup = tpu_bench::experiments::generation::v4i_generation_setup();
-    let mut gen_cfg = setup.base;
-    gen_cfg.mode = BatchingMode::Continuous;
-    gen_cfg.requests = 2000;
-    gen_cfg.arrival_rate_rps = 1.8 * setup.capacity_rps;
-    let events = simulate_generation(&setup.lat, &gen_cfg)
-        .expect("valid config")
-        .metrics
-        .events_processed
-        .get();
-    stats.push(
-        group
-            .bench("gen-continuous-2k", || {
-                simulate_generation(&setup.lat, &gen_cfg)
-                    .expect("valid config")
-                    .completed
-            })
-            .with_units(events),
-    );
-
-    // The planet-scale orchestrator (E27's engine): geo load-balancer,
-    // a full cell outage with failover, and the autoscaler around
-    // per-cell DES epochs.
-    let global_cfg = global_fleet();
-    let events = tpu_serving::fleet::simulate_global(&model, &global_cfg)
-        .expect("valid config")
-        .metrics
-        .events_processed
-        .get();
-    stats.push(
-        group
-            .bench("global-fleet", || {
-                tpu_serving::fleet::simulate_global(&model, &global_cfg)
-                    .expect("valid config")
-                    .good
-            })
-            .with_units(events),
-    );
-    stats
-}
-
-/// The global fleet config: 3 cells x 3 servers behind the geo
-/// balancer, diurnal + flash traffic, a full cell outage, failover and
-/// autoscaling on — exercises the epoch split, redirect placement, and
-/// fault slicing around ~20k DES requests.
-fn global_fleet() -> tpu_serving::fleet::GlobalConfig {
-    use tpu_serving::fleet::{
-        AutoscalerConfig, Cell, CellFault, CellFaultKind, GeoPolicy, GlobalConfig, TrafficModel,
-    };
-    let base = ServingConfig {
-        arrival_rate_rps: 1.0,
-        max_batch: 16,
-        batch_timeout_s: 0.002,
-        requests: 1,
-        seed: 0,
-    };
-    let template = FleetConfig::new(base.with_servers(3)).with_policy(FleetPolicy {
-        deadline_s: Some(0.05),
-        shed_expired: true,
-        queue_budget_s: Some(0.04),
-        queue_cap: Some(256),
-        retry: RetryPolicy {
-            max_retries: 1,
-            backoff_s: 0.002,
-            backoff_mult: 2.0,
-        },
+    group.bench("bf16/convert-1M", || {
+        xs.iter()
+            .map(|&x| Bf16::from_f32(x).to_bits() as u32)
+            .sum::<u32>()
     });
-    GlobalConfig {
-        cells: (0..3).map(|_| Cell::new(template, 2500.0, 6)).collect(),
-        traffic: TrafficModel::diurnal(16_000.0, 0.35, 1.2).with_flash(0.5, 0.2, 1.8),
-        cell_faults: vec![CellFault {
-            cell: 0,
-            at_s: 0.45,
-            duration_s: 0.4,
-            kind: CellFaultKind::Outage,
-        }],
-        autoscaler: AutoscalerConfig::default(),
-        geo: GeoPolicy {
-            redirect_latency_s: 0.01,
-            ..GeoPolicy::default()
-        },
-        epoch_s: 0.1,
-        horizon_s: 1.2,
-        seed: 1,
-    }
-}
-
-/// Wall-clock of the E21+E22 replicated sweeps (profile once, then
-/// 5 seeded replications per grid point) — the end-to-end number the
-/// MultiSeedRunner parallelism and the profile-once refactor improve.
-fn sweep_wall_clock() -> f64 {
-    let start = Instant::now();
-    std::hint::black_box(tpu_bench::experiments::overload::overload_data());
-    std::hint::black_box(tpu_bench::experiments::chaos::chaos_data());
-    let wall = start.elapsed().as_secs_f64();
-    println!("sweeps/e21+e22            {wall:>10.3} s wall-clock");
-    wall
-}
-
-/// Pulls a `"key": "value"` string field out of a one-record JSON line.
-fn field_str<'a>(line: &'a str, key: &str) -> Option<&'a str> {
-    let pat = format!("\"{key}\": \"");
-    let start = line.find(&pat)? + pat.len();
-    let rest = &line[start..];
-    Some(&rest[..rest.find('"')?])
-}
-
-/// Pulls a `"key": number` field out of a one-record JSON line.
-fn field_num(line: &str, key: &str) -> Option<f64> {
-    let pat = format!("\"{key}\": ");
-    let start = line.find(&pat)? + pat.len();
-    let rest = &line[start..];
-    let end = rest
-        .find(|c: char| !(c.is_ascii_digit() || c == '.' || c == '-'))
-        .unwrap_or(rest.len());
-    rest[..end].parse().ok()
-}
-
-/// Gates the measured DES ns/event against a committed baseline: every
-/// bench present in both must stay within `tolerance_pct` of the
-/// baseline. The measured side is the *fastest batch* — wall-clock
-/// noise only inflates batch means, so the minimum is the one-sided
-/// estimator that makes a single-digit tolerance usable on shared
-/// runners — while the baseline side is the blessed median, giving the
-/// gate the bless-run's own min/median spread as natural headroom.
-/// Returns whether the gate passed.
-fn check_against(path: &str, tolerance_pct: f64, stats: &[Stat]) -> bool {
-    let baseline =
-        std::fs::read_to_string(path).unwrap_or_else(|e| panic!("--check-against {path}: {e}"));
-    let mut ok = true;
-    let mut checked = 0usize;
-    for line in baseline.lines() {
-        let (Some(name), Some(base_ns)) =
-            (field_str(line, "name"), field_num(line, "ns_per_event"))
-        else {
-            continue;
-        };
-        let Some(ns) = stats
-            .iter()
-            .find(|s| s.name == name)
-            .and_then(|s| s.min_ns_per_unit())
-        else {
-            continue;
-        };
-        checked += 1;
-        let limit = base_ns * (1.0 + tolerance_pct / 100.0);
-        let verdict = if ns <= limit {
-            "ok"
-        } else {
-            ok = false;
-            "REGRESSED"
-        };
-        println!(
-            "check/{name:<24} {ns:>8.2} ns/event (fastest batch) vs baseline median {base_ns:.2} \
-             (+{tolerance_pct:.0}% limit {limit:.2})  {verdict}"
-        );
-    }
-    if checked == 0 {
-        println!("check: no overlapping ns_per_event benches in {path}");
-        return false;
-    }
-    ok
 }
 
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
-    let mut json_path: Option<String> = None;
-    let mut check_path: Option<String> = None;
-    let mut tolerance_pct = 25.0f64;
     let mut measurement = Duration::from_secs(2);
     let mut groups: Vec<String> = Vec::new();
     let mut it = args.into_iter();
     while let Some(a) = it.next() {
         match a.as_str() {
-            "--json" => json_path = Some(it.next().expect("--json needs a path")),
-            "--check-against" => {
-                check_path = Some(it.next().expect("--check-against needs a path"));
-            }
-            "--tolerance-pct" => {
-                tolerance_pct = it
-                    .next()
-                    .and_then(|v| v.parse().ok())
-                    .expect("--tolerance-pct needs a number");
-            }
             "--measurement-ms" => {
                 let ms: u64 = it
                     .next()
@@ -411,35 +97,16 @@ fn main() {
     }
     let want = |g: &str| groups.is_empty() || groups.iter().any(|w| w == g);
 
-    let mut stats = Vec::new();
     if want("compile") {
-        stats.extend(bench_compile(measurement));
+        bench_compile(measurement);
     }
     if want("simulate") {
-        stats.extend(bench_simulate(measurement));
+        bench_simulate(measurement);
     }
     if want("isa") {
-        stats.extend(bench_isa_round_trip(measurement));
+        bench_isa_round_trip(measurement);
     }
     if want("numerics") {
-        stats.extend(bench_numerics(measurement));
-    }
-    if want("serving") {
-        stats.extend(bench_serving(measurement));
-    }
-    let mut extras: Vec<(&str, f64)> = Vec::new();
-    if want("sweeps") {
-        extras.push(("sweep_e21_e22_wall_s", sweep_wall_clock()));
-    }
-
-    if let Some(path) = json_path {
-        let json = stats_to_json("tpu-bench/serving-v1", &stats, &extras);
-        std::fs::write(&path, json).expect("writable json path");
-        println!("wrote {path}");
-    }
-    if let Some(path) = check_path {
-        if !check_against(&path, tolerance_pct, &stats) {
-            std::process::exit(1);
-        }
+        bench_numerics(measurement);
     }
 }

@@ -3,123 +3,10 @@
 //!
 //! Deliberately tiny — wall-clock `Instant` batches with outlier-robust
 //! reporting (median of batch means), good enough to catch order-of-
-//! magnitude regressions in the substrates.
-//!
-//! [`Group::bench`] also *returns* its measurement as a [`Stat`], and
-//! [`stats_to_json`] serializes a batch of them (JSON is hand-rolled —
-//! serde is unavailable offline), so bench binaries can emit
-//! machine-readable baselines like `BENCH_serving.json` for CI
-//! regression tracking.
+//! magnitude regressions in the substrates. Results are printed, never
+//! recorded: perfbench owns the timings that speed claims rest on.
 
 use std::time::{Duration, Instant};
-
-/// One measurement: what `group/name` cost per iteration.
-#[derive(Debug, Clone, PartialEq)]
-pub struct Stat {
-    /// The group the benchmark ran under.
-    pub group: String,
-    /// The benchmark's name within the group.
-    pub name: String,
-    /// Median of batch means, seconds per iteration.
-    pub median_s: f64,
-    /// Fastest batch mean, seconds per iteration.
-    pub min_s: f64,
-    /// Slowest batch mean, seconds per iteration.
-    pub max_s: f64,
-    /// Throughput at the median: iterations per second.
-    pub iters_per_sec: f64,
-    /// Units of work (e.g. DES events) one iteration processes, if the
-    /// caller attached a denominator via [`Stat::with_units`].
-    pub units_per_iter: Option<u64>,
-}
-
-impl Stat {
-    /// Attaches a work denominator so the stat can report ns/unit and
-    /// units/sec (e.g. DES events per simulation run).
-    pub fn with_units(mut self, units_per_iter: u64) -> Stat {
-        self.units_per_iter = Some(units_per_iter);
-        self
-    }
-
-    /// Median nanoseconds per work unit, if a denominator is attached.
-    pub fn ns_per_unit(&self) -> Option<f64> {
-        self.units_per_iter
-            .filter(|&u| u > 0)
-            .map(|u| self.median_s / u as f64 * 1e9)
-    }
-
-    /// Fastest-batch nanoseconds per work unit, if a denominator is
-    /// attached. Wall-clock noise (scheduler preemption, frequency
-    /// dips, co-tenants) only ever *inflates* a batch mean, so the
-    /// minimum is the robust one-sided estimator regression gates
-    /// compare at tight tolerances.
-    pub fn min_ns_per_unit(&self) -> Option<f64> {
-        self.units_per_iter
-            .filter(|&u| u > 0)
-            .map(|u| self.min_s / u as f64 * 1e9)
-    }
-
-    /// Work units per second at the median, if a denominator is attached.
-    pub fn units_per_sec(&self) -> Option<f64> {
-        self.units_per_iter
-            .filter(|&u| u > 0)
-            .map(|u| u as f64 / self.median_s)
-    }
-
-    fn json(&self) -> String {
-        let mut fields = vec![
-            format!("\"group\": {}", json_str(&self.group)),
-            format!("\"name\": {}", json_str(&self.name)),
-            format!("\"ns_per_iter\": {:.1}", self.median_s * 1e9),
-            format!("\"min_ns_per_iter\": {:.1}", self.min_s * 1e9),
-            format!("\"max_ns_per_iter\": {:.1}", self.max_s * 1e9),
-            format!("\"iters_per_sec\": {:.3}", self.iters_per_sec),
-        ];
-        if let Some(u) = self.units_per_iter {
-            fields.push(format!("\"events_per_iter\": {u}"));
-        }
-        if let Some(ns) = self.ns_per_unit() {
-            fields.push(format!("\"ns_per_event\": {ns:.2}"));
-        }
-        if let Some(eps) = self.units_per_sec() {
-            fields.push(format!("\"events_per_sec\": {eps:.0}"));
-        }
-        format!("{{{}}}", fields.join(", "))
-    }
-}
-
-/// Escapes a string for JSON (the names here are ASCII identifiers, but
-/// stay correct anyway).
-fn json_str(s: &str) -> String {
-    let mut out = String::with_capacity(s.len() + 2);
-    out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out.push('"');
-    out
-}
-
-/// Serializes bench stats plus named scalar extras (sweep wall-clocks
-/// and the like) into the `BENCH_*.json` baseline format.
-pub fn stats_to_json(schema: &str, stats: &[Stat], extras: &[(&str, f64)]) -> String {
-    let benches: Vec<String> = stats.iter().map(|s| format!("    {}", s.json())).collect();
-    let extra: Vec<String> = extras
-        .iter()
-        .map(|(k, v)| format!("    {}: {v:.6}", json_str(k)))
-        .collect();
-    format!(
-        "{{\n  \"schema\": {},\n  \"benches\": [\n{}\n  ],\n  \"extras\": {{\n{}\n  }}\n}}\n",
-        json_str(schema),
-        benches.join(",\n"),
-        extra.join(",\n"),
-    )
-}
 
 /// One benchmark group, printed as `group/name  <stats>` per function.
 pub struct Group {
@@ -147,8 +34,8 @@ impl Group {
     }
 
     /// Times `f`, printing `group/name  median ± spread  (iters,
-    /// throughput)` and returning the measurement.
-    pub fn bench<R>(&self, name: &str, mut f: impl FnMut() -> R) -> Stat {
+    /// throughput)`.
+    pub fn bench<R>(&self, name: &str, mut f: impl FnMut() -> R) {
         // Warm-up and calibration: find an iteration count whose batch
         // takes roughly measurement/batches.
         let calibrate_until = Instant::now() + self.measurement / 10;
@@ -187,15 +74,6 @@ impl Group {
             fmt_time(max),
             self.batches,
         );
-        Stat {
-            group: self.name.clone(),
-            name: name.to_owned(),
-            median_s: median,
-            min_s: min,
-            max_s: max,
-            iters_per_sec,
-            units_per_iter: None,
-        }
     }
 }
 
@@ -219,48 +97,16 @@ mod tests {
     #[test]
     fn bench_runs_and_formats() {
         let g = Group::new("self").measurement_time(Duration::from_millis(20));
-        let stat = g.bench("noop-ish", || std::hint::black_box(1 + 1));
-        assert_eq!(stat.group, "self");
-        assert_eq!(stat.name, "noop-ish");
-        assert!(stat.median_s > 0.0);
-        assert!(stat.min_s <= stat.median_s && stat.median_s <= stat.max_s);
-        assert!((stat.iters_per_sec - 1.0 / stat.median_s).abs() < 1.0);
+        let mut calls = 0u64;
+        g.bench("noop-ish", || {
+            calls += 1;
+            std::hint::black_box(1 + 1)
+        });
+        // At least one calibration call, then at least one per batch.
+        assert!(calls > g.batches as u64, "{calls} calls");
         assert_eq!(fmt_time(2.0), "2.000 s");
         assert_eq!(fmt_time(2e-3), "2.000 ms");
         assert_eq!(fmt_time(2e-6), "2.000 us");
         assert_eq!(fmt_time(2e-9), "2.0 ns");
-    }
-
-    #[test]
-    fn stats_serialize_to_json() {
-        let stat = Stat {
-            group: "serving".to_owned(),
-            name: "fleet-20k".to_owned(),
-            median_s: 1.5e-3,
-            min_s: 1.4e-3,
-            max_s: 1.6e-3,
-            iters_per_sec: 1.0 / 1.5e-3,
-            units_per_iter: None,
-        }
-        .with_units(30_000);
-        assert!((stat.ns_per_unit().unwrap() - 50.0).abs() < 1e-9);
-        assert!((stat.units_per_sec().unwrap() - 2e7).abs() < 1.0);
-        let json = stats_to_json("tpu-bench/serving-v1", &[stat], &[("sweep_wall_s", 0.25)]);
-        assert!(json.contains("\"schema\": \"tpu-bench/serving-v1\""));
-        assert!(json.contains("\"ns_per_event\": 50.00"));
-        assert!(json.contains("\"events_per_iter\": 30000"));
-        assert!(json.contains("\"sweep_wall_s\": 0.250000"));
-        // Well-formed enough for a line-oriented CI diff: balanced braces.
-        assert_eq!(
-            json.matches('{').count(),
-            json.matches('}').count(),
-            "unbalanced JSON"
-        );
-    }
-
-    #[test]
-    fn json_escaping() {
-        assert_eq!(json_str("a\"b\\c"), "\"a\\\"b\\\\c\"");
-        assert_eq!(json_str("tab\there"), "\"tab\\u0009here\"");
     }
 }

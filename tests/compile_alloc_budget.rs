@@ -1,4 +1,5 @@
-//! Allocation budget of the compile → simulate path.
+//! Exact work counts: heap allocations of the compile → simulate path,
+//! and events plus allocations of the serving engines.
 //!
 //! Building, compiling and simulating a zoo graph once made about 36
 //! heap allocations per graph node, and allocator time was half of
@@ -6,20 +7,32 @@
 //! plans keep one flat dependency array, and the scheduler builds its
 //! dependents as one offsets array plus one flat list, so the path
 //! makes a few dozen allocations per compile whatever the graph's size.
-//! This test pins that count: a per-node or per-step allocation that
-//! creeps back in fails here.
+//! The first test pins that count: a per-node or per-step allocation
+//! that creeps back in fails here.
+//!
+//! The second test runs the serving engines on five fixed configs and
+//! pins each run's `events_processed` exactly and its allocations to
+//! the measured count plus 25%. Both counts are deterministic, so they
+//! hold on any host, where a wall-clock gate cannot: a per-request
+//! timer event shows up as events, a per-launch buffer as allocations.
 //!
 //! A counting global allocator counts fresh allocations (`alloc` and
-//! `alloc_zeroed`, not the `realloc` of a growing buffer), and only
-//! while the test thread switches it on.
+//! `alloc_zeroed`, not the `realloc` of a growing buffer) in a
+//! thread-local counter, and only while that thread switches it on, so
+//! the two tests can run in parallel.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
-use std::sync::atomic::{AtomicU64, Ordering};
 
 use tpugen::arch::catalog;
 use tpugen::hlo::{compile, CompilerOptions};
-use tpugen::serving::latency::DEFAULT_BATCHES;
+use tpugen::serving::des::{
+    simulate, simulate_fleet, simulate_fleet_with_faults, simulate_generation, BatchingMode,
+    FleetConfig, FleetPolicy, RetryPolicy, ServingConfig,
+};
+use tpugen::serving::faults::{FailoverConfig, FaultPlan, MtbfFaults};
+use tpugen::serving::fleet::simulate_global;
+use tpugen::serving::latency::{LatencyModel, DEFAULT_BATCHES};
 use tpugen::sim::Simulator;
 use tpugen::workloads::{frontend, zoo::production_apps};
 
@@ -34,24 +47,20 @@ const BUDGET_PER_COMPILE: f64 = MEASURED_PER_COMPILE * 1.25;
 
 struct CountingAlloc;
 
-static ALLOCATIONS: AtomicU64 = AtomicU64::new(0);
-
 thread_local! {
-    static COUNTING: Cell<bool> = const { Cell::new(false) };
+    /// Allocations this thread made while counting; `None` while off.
+    static ALLOCATIONS: Cell<Option<u64>> = const { Cell::new(None) };
 }
 
 fn note_allocation() {
     // `try_with` fails only while this thread's locals are torn down;
     // nothing is counted then.
-    if COUNTING.try_with(Cell::get).unwrap_or(false) {
-        ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
-    }
+    let _ = ALLOCATIONS.try_with(|n| n.set(n.get().map(|k| k + 1)));
 }
 
 // SAFETY: every method forwards its arguments unchanged to `System`,
-// so `System` upholds the allocator contract. Counting touches only an
-// atomic and a const-initialized thread local, neither of which
-// allocates or unwinds.
+// so `System` upholds the allocator contract. Counting touches only a
+// const-initialized thread local, which neither allocates nor unwinds.
 unsafe impl GlobalAlloc for CountingAlloc {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
         note_allocation();
@@ -84,11 +93,10 @@ static GLOBAL: CountingAlloc = CountingAlloc;
 /// Runs `f`, returning its result and the allocations it made on this
 /// thread.
 fn allocations_in<T>(f: impl FnOnce() -> T) -> (T, u64) {
-    let before = ALLOCATIONS.load(Ordering::Relaxed);
-    COUNTING.with(|c| c.set(true));
+    ALLOCATIONS.with(|n| n.set(Some(0)));
     let out = f();
-    COUNTING.with(|c| c.set(false));
-    (out, ALLOCATIONS.load(Ordering::Relaxed) - before)
+    let n = ALLOCATIONS.with(|n| n.take()).expect("counting was on");
+    (out, n)
 }
 
 #[test]
@@ -131,4 +139,209 @@ fn compile_path_stays_within_its_allocation_budget() {
         "{mean:.1} allocations per build + compile + simulate, over the budget of \
          {BUDGET_PER_COMPILE:.1} ({MEASURED_PER_COMPILE} measured + 25%)"
     );
+}
+
+/// The overloaded single-server fleet config: expiry shedding on an
+/// uncapped queue — the path the indexed-removal/lazy-deletion overhaul
+/// targets.
+fn expiry_fleet() -> FleetConfig {
+    let base = ServingConfig {
+        arrival_rate_rps: 16_000.0,
+        max_batch: 32,
+        batch_timeout_s: 0.002,
+        requests: 20_000,
+        seed: 1,
+    };
+    FleetConfig::new(base.with_servers(1)).with_policy(FleetPolicy {
+        deadline_s: Some(0.05),
+        shed_expired: true,
+        queue_budget_s: Some(0.04),
+        queue_cap: None,
+        retry: RetryPolicy::default(),
+    })
+}
+
+/// The chaos fleet config: 4 servers, MTBF faults, failover on —
+/// exercises probes, redistribution, and retry backoff.
+fn chaos_fleet() -> (FleetConfig, FaultPlan) {
+    let base = ServingConfig {
+        arrival_rate_rps: 12_000.0,
+        max_batch: 16,
+        batch_timeout_s: 0.001,
+        requests: 20_000,
+        seed: 1,
+    };
+    let fleet = FleetConfig::new(base.with_servers(4)).with_policy(FleetPolicy {
+        deadline_s: Some(0.02),
+        shed_expired: true,
+        queue_budget_s: Some(0.015),
+        queue_cap: Some(256),
+        retry: RetryPolicy {
+            max_retries: 1,
+            backoff_s: 0.002,
+            backoff_mult: 2.0,
+        },
+    });
+    let plan = FaultPlan {
+        scheduled: Vec::new(),
+        mtbf: Some(MtbfFaults {
+            mtbf_s: 0.3,
+            mttr_s: 0.05,
+            horizon_s: 2.0,
+        }),
+        fault_seed: 7,
+        failover: FailoverConfig {
+            enabled: true,
+            probe_interval_s: 0.002,
+            probe_timeout_s: 0.001,
+            recovery_warmup_s: 0.005,
+        },
+    };
+    (fleet, plan)
+}
+
+/// The global fleet config: 3 cells x 3 servers behind the geo
+/// balancer, diurnal + flash traffic, a full cell outage, failover and
+/// autoscaling on — exercises the epoch split, redirect placement, and
+/// fault slicing around ~20k DES requests.
+fn global_fleet() -> tpugen::serving::fleet::GlobalConfig {
+    use tpugen::serving::fleet::{
+        AutoscalerConfig, Cell, CellFault, CellFaultKind, GeoPolicy, GlobalConfig, TrafficModel,
+    };
+    let base = ServingConfig {
+        arrival_rate_rps: 1.0,
+        max_batch: 16,
+        batch_timeout_s: 0.002,
+        requests: 1,
+        seed: 0,
+    };
+    let template = FleetConfig::new(base.with_servers(3)).with_policy(FleetPolicy {
+        deadline_s: Some(0.05),
+        shed_expired: true,
+        queue_budget_s: Some(0.04),
+        queue_cap: Some(256),
+        retry: RetryPolicy {
+            max_retries: 1,
+            backoff_s: 0.002,
+            backoff_mult: 2.0,
+        },
+    });
+    GlobalConfig {
+        cells: (0..3).map(|_| Cell::new(template, 2500.0, 6)).collect(),
+        traffic: TrafficModel::diurnal(16_000.0, 0.35, 1.2).with_flash(0.5, 0.2, 1.8),
+        cell_faults: vec![CellFault {
+            cell: 0,
+            at_s: 0.45,
+            duration_s: 0.4,
+            kind: CellFaultKind::Outage,
+        }],
+        autoscaler: AutoscalerConfig::default(),
+        geo: GeoPolicy {
+            redirect_latency_s: 0.01,
+            ..GeoPolicy::default()
+        },
+        epoch_s: 0.1,
+        horizon_s: 1.2,
+        seed: 1,
+    }
+}
+
+/// One serving config under count: the `events_processed` it must
+/// report exactly, and the allocations it made when the cap was set.
+struct ServingCount<'a> {
+    name: &'static str,
+    events: u64,
+    measured_allocations: u64,
+    run: &'a dyn Fn() -> u64,
+}
+
+#[test]
+fn serving_engines_keep_their_work_counts() {
+    let model = LatencyModel::from_points(vec![(1, 0.001), (128, 0.008)]).expect("valid");
+    let expiry = expiry_fleet();
+    let (chaos, chaos_plan) = chaos_fleet();
+    // The decode-loop scheduler under KV pressure (E25's engine): an
+    // overloaded continuous-batching run on the v4i-derived fixture.
+    let setup = tpu_bench::experiments::generation::v4i_generation_setup();
+    let mut gen_cfg = setup.base;
+    gen_cfg.mode = BatchingMode::Continuous;
+    gen_cfg.requests = 2000;
+    gen_cfg.arrival_rate_rps = 1.8 * setup.capacity_rps;
+    // The planet-scale orchestrator (E27's engine): geo load-balancer,
+    // a full cell outage with failover, and the autoscaler around
+    // per-cell DES epochs.
+    let global = global_fleet();
+
+    let counts = [
+        ServingCount {
+            name: "des-10k-requests",
+            events: 12_750,
+            measured_allocations: 27,
+            run: &|| {
+                let cfg = ServingConfig {
+                    arrival_rate_rps: 5000.0,
+                    max_batch: 32,
+                    batch_timeout_s: 0.002,
+                    requests: 10_000,
+                    seed: 1,
+                };
+                let r = simulate(&model, &cfg).expect("valid config");
+                r.metrics.events_processed.get()
+            },
+        },
+        ServingCount {
+            name: "fleet-expiry-20k",
+            events: 25_645,
+            measured_allocations: 27,
+            run: &|| {
+                let r = simulate_fleet(&model, &expiry).expect("valid config");
+                r.metrics.events_processed.get()
+            },
+        },
+        ServingCount {
+            name: "fleet-chaos-20k",
+            events: 31_403,
+            measured_allocations: 35,
+            run: &|| {
+                let r =
+                    simulate_fleet_with_faults(&model, &chaos, &chaos_plan).expect("valid config");
+                r.metrics.events_processed.get()
+            },
+        },
+        ServingCount {
+            name: "gen-continuous-2k",
+            events: 8_806,
+            measured_allocations: 27,
+            run: &|| {
+                let r = simulate_generation(&setup.lat, &gen_cfg).expect("valid config");
+                r.metrics.events_processed.get()
+            },
+        },
+        ServingCount {
+            name: "global-fleet",
+            events: 31_047,
+            measured_allocations: 1_218,
+            run: &|| {
+                let r = simulate_global(&model, &global).expect("valid config");
+                r.metrics.events_processed.get()
+            },
+        },
+    ];
+
+    for c in &counts {
+        let (events, allocations) = allocations_in(c.run);
+        eprintln!(
+            "{:<18} {events:>6} events {allocations:>5} allocations",
+            c.name
+        );
+        assert_eq!(events, c.events, "{}: events_processed moved", c.name);
+        // The measured count plus 25%, as for compiles above.
+        let cap = c.measured_allocations * 5 / 4;
+        assert!(
+            allocations <= cap,
+            "{}: {allocations} allocations, over the cap of {cap} ({} measured + 25%)",
+            c.name,
+            c.measured_allocations
+        );
+    }
 }
