@@ -28,7 +28,6 @@ use rand::{Rng, SeedableRng};
 use tpu_sim::TimeKey;
 use tpu_telemetry::{EventSink, NullSink, Recorder, SpanPhase, TelemetryEvent, Track};
 
-use crate::arena::{Handle, SlotArena};
 use crate::faults::{FailoverConfig, FaultKind, FaultPlan, ScheduledFault};
 use crate::latency::LatencyModel;
 use crate::metrics::ServingMetrics;
@@ -403,6 +402,13 @@ pub enum ConfigError {
     InvalidEpoch(f64),
     /// The simulated horizon must be finite and > 0.
     InvalidHorizon(f64),
+    /// `ceil(horizon_s / epoch_s)`, the control epoch count, must be at
+    /// most [`crate::fleet::MAX_EPOCHS`].
+    TooManyEpochs(f64),
+    /// The peak Poisson mean of one epoch's arrivals (`base_rps × (1 +
+    /// amplitude) × largest flash multiplier × epoch_s`) could draw more
+    /// than [`MAX_REQUESTS`] requests.
+    TooManyEpochArrivals(f64),
     /// The traffic model's base rate must be finite and > 0.
     InvalidTrafficRate(f64),
     /// The diurnal amplitude must be finite and in [0, 1) (an amplitude
@@ -545,6 +551,19 @@ impl fmt::Display for ConfigError {
             ConfigError::InvalidHorizon(h) => {
                 write!(f, "horizon_s must be finite and > 0, got {h}")
             }
+            ConfigError::TooManyEpochs(n) => {
+                write!(
+                    f,
+                    "horizon_s / epoch_s must be <= {} epochs, got {n}",
+                    crate::fleet::MAX_EPOCHS
+                )
+            }
+            ConfigError::TooManyEpochArrivals(peak) => {
+                write!(
+                    f,
+                    "an epoch's peak arrival mean {peak} could draw more than {MAX_REQUESTS} requests"
+                )
+            }
             ConfigError::InvalidTrafficRate(r) => {
                 write!(f, "traffic base_rps must be finite and > 0, got {r}")
             }
@@ -674,11 +693,10 @@ enum Event {
     /// One in-flight sweep per server replaces the old per-request
     /// expiry timer (O(launches + sheds) events instead of O(admits)).
     Expire { server: usize },
-    /// A batch finished; the payload is the batch's arena handle
-    /// (slot index + reuse stamp). A crash frees the slot immediately
-    /// and bumps its stamp, so a `Done` whose stamp no longer matches
-    /// is recognized as aborted when it pops.
-    Done { slot: u32, stamp: u32 },
+    /// A server's batch finished. `launch` names the batch: a crash
+    /// aborts the batch at once, so a `Done` that pops while its server
+    /// is idle or has launched since is recognized as aborted.
+    Done { server: usize, launch: u32 },
     /// Inject the materialized fault with this index.
     Fault(usize),
     /// A crashed machine finished repair and starts its warmup.
@@ -790,7 +808,6 @@ struct QEntry {
 
 #[derive(Debug, Default)]
 struct Batch {
-    server: u32,
     members: Vec<u32>,
     /// When the batch will complete (including hang delays).
     done_at: f64,
@@ -820,8 +837,12 @@ struct Server {
     /// What the router believes; only health probes update it.
     believed_up: bool,
     busy: bool,
-    /// Arena handle of the in-service batch while busy.
-    serving: Option<Handle>,
+    /// The in-service batch while busy. A server runs at most one batch
+    /// (launching requires `can_serve`), and the `members` buffer is
+    /// reused across launches, so steady state allocates nothing.
+    batch: Batch,
+    /// Batches launched so far (wrapping): the current batch's name.
+    launch: u32,
     queue: VecDeque<QEntry>,
     /// Live entries in `queue` (total length minus stale entries).
     live: usize,
@@ -847,7 +868,8 @@ impl Server {
             health: Health::Up,
             believed_up: true,
             busy: false,
-            serving: None,
+            batch: Batch::default(),
+            launch: 0,
             queue: VecDeque::new(),
             live: 0,
             expiry_pending: false,
@@ -1081,11 +1103,6 @@ struct Engine<'a, S: EventSink> {
     /// Round-robin router position.
     rr_cursor: usize,
     req: ReqTable,
-    /// In-flight batches, arena-allocated: the free-list recycles slots
-    /// (their `members` capacity included), so steady-state batch
-    /// launches allocate nothing, and the reuse stamps void pending
-    /// `Done` events of crash-aborted batches.
-    in_service: SlotArena<Batch>,
     /// Per-attempt queue-wait budget before `shed_expired` sheds
     /// (precomputed from the validated policy; `None` = no shedding).
     queue_budget: Option<f64>,
@@ -1140,7 +1157,6 @@ impl<'a, S: EventSink> Engine<'a, S> {
             up_count: cfg.pool.servers,
             rr_cursor: 0,
             req: ReqTable::new(n),
-            in_service: SlotArena::new(),
             queue_budget,
             scratch_entries: Vec::new(),
             queued_live: 0,
@@ -1483,12 +1499,8 @@ impl<'a, S: EventSink> Engine<'a, S> {
             return false;
         }
         let take = (self.servers[s].live as u64).min(cfg.max_batch) as usize;
-        // Allocate the batch slot from the arena: a recycled slot hands
-        // back its `members` capacity, so steady state allocates
-        // nothing per launch.
-        let h = self.in_service.alloc();
-        let mut members = std::mem::take(&mut self.in_service.slot_mut(h).members);
-        debug_assert!(members.is_empty(), "recycled slot not drained");
+        let mut members = std::mem::take(&mut self.servers[s].batch.members);
+        debug_assert!(members.is_empty(), "previous batch not drained");
         let mut taken = 0usize;
         while taken < take {
             let entry = self.servers[s]
@@ -1529,15 +1541,16 @@ impl<'a, S: EventSink> Engine<'a, S> {
         } else {
             0
         };
-        *self.in_service.slot_mut(h) = Batch {
-            server: s as u32,
+        let server = &mut self.servers[s];
+        server.batch = Batch {
             members,
             done_at: now + service,
             extra_delay_s: 0.0,
             span_id,
         };
-        self.servers[s].busy = true;
-        self.servers[s].serving = Some(h);
+        server.busy = true;
+        server.launch = server.launch.wrapping_add(1);
+        let launch = server.launch;
         self.emit(
             now,
             server_track(s),
@@ -1546,13 +1559,7 @@ impl<'a, S: EventSink> Engine<'a, S> {
             span_id,
             take as i64,
         );
-        self.push_event(
-            now + service,
-            Event::Done {
-                slot: h.index,
-                stamp: h.stamp,
-            },
-        );
+        self.push_event(now + service, Event::Done { server: s, launch });
         true
     }
 
@@ -1594,9 +1601,9 @@ impl<'a, S: EventSink> Engine<'a, S> {
                 self.servers[s].health = Health::DownCrash;
                 self.servers[s].degrade_factor = 1.0;
                 // Fail-stop: in-flight work dies with the machine.
-                if let Some(h) = self.servers[s].serving.take() {
+                if self.servers[s].busy {
                     self.servers[s].busy = false;
-                    let batch = self.in_service.slot_mut(h);
+                    let batch = &mut self.servers[s].batch;
                     let refund = (batch.done_at - now).max(0.0);
                     let span_id = batch.span_id;
                     let mut members = std::mem::take(&mut batch.members);
@@ -1607,11 +1614,9 @@ impl<'a, S: EventSink> Engine<'a, S> {
                         self.metrics.in_flight_failures.inc();
                         self.fail_request(req as usize, now);
                     }
-                    // Park the emptied Vec back in the slot and free it:
-                    // the stamp bump voids the pending Done, and the
-                    // slot (capacity included) is immediately reusable.
-                    self.in_service.slot_mut(h).members = members;
-                    self.in_service.free(h);
+                    // Hand the emptied buffer back. The pending Done
+                    // finds the server idle or relaunched and is ignored.
+                    self.servers[s].batch.members = members;
                 }
                 self.push_event(now + mttr_s, Event::CrashOver { server: s, epoch });
             }
@@ -1626,8 +1631,8 @@ impl<'a, S: EventSink> Engine<'a, S> {
                 self.servers[s].hang_started = now;
                 // Pause, don't lose: the batch finishes late by the
                 // frozen overlap.
-                if let Some(h) = self.servers[s].serving {
-                    let batch = self.in_service.slot_mut(h);
+                if self.servers[s].busy {
+                    let batch = &mut self.servers[s].batch;
                     batch.extra_delay_s += duration_s;
                     batch.done_at += duration_s;
                 }
@@ -1840,28 +1845,25 @@ impl<'a, S: EventSink> Engine<'a, S> {
                 self.shed_expired_prefix_on(server, now);
                 self.arm_expiry(server);
             }
-            Event::Done { slot, stamp } => {
-                let h = Handle { index: slot, stamp };
-                if !self.in_service.is_live(h) {
-                    // The server crashed mid-service and freed the slot
-                    // (bumping its stamp); the members were already
-                    // failed/retried. Nothing to do.
+            Event::Done { server, launch } => {
+                if !self.servers[server].busy || self.servers[server].launch != launch {
+                    // The batch died in a crash (its members were
+                    // already failed or retried), and the server is
+                    // idle or has launched since. Nothing to do.
                     return;
                 }
-                let delay = self.in_service.slot_mut(h).extra_delay_s;
+                let delay = self.servers[server].batch.extra_delay_s;
                 if delay > 0.0 {
                     // The server hung during service: the batch
-                    // resumes after the thaw and finishes late (the
-                    // slot stays allocated until that Done fires).
-                    self.in_service.slot_mut(h).extra_delay_s = 0.0;
-                    self.push_event(now + delay, Event::Done { slot, stamp });
+                    // resumes after the thaw and finishes late.
+                    self.servers[server].batch.extra_delay_s = 0.0;
+                    self.push_event(now + delay, Event::Done { server, launch });
                     return;
                 }
                 self.touch(now);
-                let server = self.in_service.slot_mut(h).server as usize;
                 if S::ENABLED {
-                    let span_id = self.in_service.slot_mut(h).span_id;
-                    let size = self.in_service.slot_mut(h).members.len() as i64;
+                    let span_id = self.servers[server].batch.span_id;
+                    let size = self.servers[server].batch.members.len() as i64;
                     self.emit(
                         now,
                         server_track(server),
@@ -1871,9 +1873,8 @@ impl<'a, S: EventSink> Engine<'a, S> {
                         size,
                     );
                 }
-                let mut members = std::mem::take(&mut self.in_service.slot_mut(h).members);
+                let mut members = std::mem::take(&mut self.servers[server].batch.members);
                 self.servers[server].busy = false;
-                self.servers[server].serving = None;
                 for req in members.drain(..) {
                     let req = req as usize;
                     let lat = now - self.req.first_arrival[req];
@@ -1895,10 +1896,8 @@ impl<'a, S: EventSink> Engine<'a, S> {
                         _ => self.good += 1,
                     }
                 }
-                // Park the members capacity and free the slot for the
-                // relaunch below to recycle.
-                self.in_service.slot_mut(h).members = members;
-                self.in_service.free(h);
+                // Hand the buffer back for the relaunch below to reuse.
+                self.servers[server].batch.members = members;
                 // The freed server may immediately take another batch.
                 self.relaunch_or_arm(server, now);
             }
@@ -2778,6 +2777,57 @@ mod tests {
         assert!(r.failed >= 1, "the crash should kill the in-flight batch");
         assert!(r.metrics.in_flight_failures.get() >= 1);
         assert_eq!(r.metrics.failures_recovered.get(), 1);
+    }
+
+    #[test]
+    fn aborted_batch_done_does_not_end_the_relaunched_batch() {
+        // One overloaded server with a 0.2 s service time crashes at
+        // 0.05 s mid-batch, is back up 0.011 s later, and relaunches
+        // from its queue long before the aborted batch's `Done` pops.
+        // That `Done` must be ignored: every batch that is not aborted
+        // runs for its full service time.
+        let model = LatencyModel::from_points(vec![(1, 0.2), (64, 0.263)]).unwrap();
+        let base = ServingConfig {
+            arrival_rate_rps: 1000.0,
+            max_batch: 4,
+            batch_timeout_s: 0.001,
+            requests: 40,
+            seed: 3,
+        };
+        let fleet = FleetConfig::new(base.with_servers(1));
+        let plan = FaultPlan::scheduled(vec![crash(0, 0.05, 0.001)]).without_failover();
+        let mut rec = Recorder::new();
+        let r = simulate_fleet_recorded(&model, &fleet, &plan, &mut rec).unwrap();
+        assert!(r.conservation_holds());
+        assert_eq!(r.metrics.failures_recovered.get(), 1);
+
+        // Span id -> (begin time, batch size).
+        let mut begun = std::collections::BTreeMap::new();
+        let mut aborted_done_at = None;
+        let (mut completed, mut relaunched_before_aborted_done) = (0, false);
+        for e in rec.events().filter(|e| e.name == "batch") {
+            if e.phase == SpanPhase::Begin {
+                begun.insert(e.id, (e.t_s, e.arg as u64));
+                continue;
+            }
+            let (begin, size) = begun[&e.id];
+            let service = model.latency(size);
+            if e.arg < 0 {
+                aborted_done_at = Some(begin + service);
+                continue;
+            }
+            assert!(
+                (e.t_s - begin - service).abs() < 1e-9,
+                "batch {} of {size} ran {} s, not its {service} s service time",
+                e.id,
+                e.t_s - begin
+            );
+            completed += size as usize;
+            relaunched_before_aborted_done |= aborted_done_at.is_some_and(|t| begin < t);
+        }
+        assert!(aborted_done_at.is_some(), "the crash aborted no batch");
+        assert!(relaunched_before_aborted_done);
+        assert_eq!(completed, r.completed);
     }
 
     #[test]

@@ -66,7 +66,7 @@
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
-use crate::des::{simulate_fleet_samples, ConfigError, FleetConfig};
+use crate::des::{simulate_fleet_samples, ConfigError, FleetConfig, MAX_REQUESTS};
 use crate::faults::{FaultKind, FaultPlan, ScheduledFault};
 use crate::latency::LatencyModel;
 use crate::metrics::ServingMetrics;
@@ -193,6 +193,18 @@ impl TrafficModel {
             }
         }
         Ok(())
+    }
+
+    /// The largest rate [`TrafficModel::rate_at`] can return: every
+    /// tenant's diurnal factor is at most `1 + A`, and overlapping flash
+    /// crowds take the largest multiplier, never below 1.
+    fn peak_rps(&self) -> f64 {
+        let flash = self
+            .flashes
+            .iter()
+            .map(|f| f.multiplier)
+            .fold(1.0f64, f64::max);
+        self.base_rps * (1.0 + self.diurnal_amplitude) * flash
     }
 
     /// Instantaneous global arrival rate at simulated time `t_s`.
@@ -444,6 +456,12 @@ impl AutoscalerConfig {
 // Global config
 // ---------------------------------------------------------------------------
 
+/// Most control epochs (`ceil(horizon_s / epoch_s)`) one global run
+/// simulates: the geo balancer's belief table holds one row per epoch,
+/// and every epoch runs one DES per cell. 2^20 one-second epochs cover
+/// twelve simulated days; a count past it is a mistyped `epoch_s`.
+pub const MAX_EPOCHS: usize = 1 << 20;
+
 /// The full planet-scale run description.
 #[derive(Debug, Clone, PartialEq)]
 pub struct GlobalConfig {
@@ -482,7 +500,18 @@ impl GlobalConfig {
         if !self.horizon_s.is_finite() || self.horizon_s <= 0.0 {
             return Err(ConfigError::InvalidHorizon(self.horizon_s));
         }
+        let epochs = (self.horizon_s / self.epoch_s).ceil();
+        if epochs > MAX_EPOCHS as f64 {
+            return Err(ConfigError::TooManyEpochs(epochs));
+        }
         self.traffic.validate()?;
+        // One epoch's arrivals are one Poisson draw, all of which may
+        // land in one cell's DES run, so the largest possible draw must
+        // fit that run's request ids.
+        let peak = self.traffic.peak_rps() * self.epoch_s;
+        if max_poisson_draw(peak) > MAX_REQUESTS as f64 {
+            return Err(ConfigError::TooManyEpochArrivals(peak));
+        }
         self.autoscaler.validate()?;
         self.geo.validate()?;
         for cell in &self.cells {
@@ -676,6 +705,14 @@ fn splitmix64(mut z: u64) -> u64 {
 /// Sub-seed for stream `(a, b)` of the run seed.
 fn mix_seed(seed: u64, a: u64, b: u64) -> u64 {
     splitmix64(seed ^ a.wrapping_mul(0xA076_1D64_78BD_642F) ^ b.wrapping_mul(0xE703_7ED1_A0B4_28DB))
+}
+
+/// An upper bound on [`poisson`]`(rng, mean)`. From mean 30 up, the
+/// normal draw's `z` has |z| < 8.5, because its uniform is at least
+/// `f64::EPSILON`, so `sqrt(-2 ln u)` is at most 8.49. Below mean 30,
+/// Knuth inversion passes 76 only with probability under 1e-10.
+fn max_poisson_draw(mean: f64) -> f64 {
+    mean + 8.5 * mean.sqrt()
 }
 
 /// One Poisson draw. Knuth inversion below mean 30; above that, the
@@ -1651,6 +1688,57 @@ mod tests {
             simulate_global(&model(), &cfg),
             Err(ConfigError::TooManyServers(MAX_SERVERS + 1))
         );
+    }
+
+    #[test]
+    fn epoch_count_past_the_bound_is_a_typed_error() {
+        // Regression: this validated, and sizing the geo belief table at
+        // ceil(horizon_s / epoch_s) rows then overflowed its capacity.
+        let mut cfg = small_config(1);
+        cfg.epoch_s = 1e-300;
+        cfg.horizon_s = 1.0;
+        assert!(matches!(
+            simulate_global(&model(), &cfg),
+            Err(ConfigError::TooManyEpochs(_))
+        ));
+        cfg.epoch_s = 1.0 / MAX_EPOCHS as f64;
+        assert_eq!(cfg.validate(), Ok(()));
+    }
+
+    #[test]
+    fn epoch_arrivals_past_the_request_id_space_are_a_typed_error() {
+        // Regression: this validated, then its one epoch drew about
+        // 5.9e9 arrivals for one cell, and that cell's DES run failed
+        // its "validated per-cell config" expectation.
+        let cell = Cell::new(cell_template(2), 2500.0, 2);
+        let mut cfg = GlobalConfig {
+            cells: vec![cell; 2],
+            traffic: TrafficModel::diurnal(1e10, 0.35, 1.2),
+            cell_faults: Vec::new(),
+            autoscaler: AutoscalerConfig::default(),
+            geo: GeoPolicy {
+                failover: false,
+                ..GeoPolicy::default()
+            },
+            epoch_s: 1.0,
+            horizon_s: 1.0,
+            seed: 1,
+        };
+        assert!(matches!(
+            simulate_global(&model(), &cfg),
+            Err(ConfigError::TooManyEpochArrivals(peak)) if peak == 1.35e10
+        ));
+        // Just inside the bound: the largest draw fits the id space.
+        cfg.traffic.base_rps = 3.0e9;
+        assert!(max_poisson_draw(3.0e9 * 1.35) <= MAX_REQUESTS as f64);
+        cfg.traffic.base_rps = 3.0e9 / 1.35;
+        assert_eq!(cfg.validate(), Ok(()));
+        // A flash crowd raises the peak.
+        cfg.traffic = cfg.traffic.with_flash(0.5, 0.1, 2.0);
+        assert!(matches!(
+            cfg.validate(),
+            Err(ConfigError::TooManyEpochArrivals(_))
+        ));
     }
 
     #[test]

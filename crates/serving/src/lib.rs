@@ -26,8 +26,6 @@
 //!   (fail-stop crashes, transient hangs, slow-degrades; scheduled or
 //!   MTBF/MTTR-driven), a server health lifecycle, and a health checker
 //!   that drains dead servers' queues onto surviving replicas;
-//! - [`arena`]: the stamped slot arena holding in-flight batches
-//!   (free-list reuse with ABA protection via reuse stamps);
 //! - [`metrics`]: the counters and histograms a serving fleet is
 //!   operated on (sheds, retries, batch sizes, per-server busy time);
 //! - [`stats`]: exact percentile computation over recorded latencies;
@@ -60,7 +58,6 @@
 //! assert!(report.conservation_holds());
 //! ```
 
-pub mod arena;
 pub mod des;
 pub mod faults;
 pub mod fleet;

@@ -272,11 +272,13 @@ fn serving_engines_keep_their_work_counts() {
     // per-cell DES epochs.
     let global = global_fleet();
 
+    // Measured with a reused batch buffer per server; the slot arena of
+    // in-flight batches that it replaced made 27 / 27 / 35 / 27 / 1,218.
     let counts = [
         ServingCount {
             name: "des-10k-requests",
             events: 12_750,
-            measured_allocations: 27,
+            measured_allocations: 25,
             run: &|| {
                 let cfg = ServingConfig {
                     arrival_rate_rps: 5000.0,
@@ -292,7 +294,7 @@ fn serving_engines_keep_their_work_counts() {
         ServingCount {
             name: "fleet-expiry-20k",
             events: 25_645,
-            measured_allocations: 27,
+            measured_allocations: 25,
             run: &|| {
                 let r = simulate_fleet(&model, &expiry).expect("valid config");
                 r.metrics.events_processed.get()
@@ -301,7 +303,7 @@ fn serving_engines_keep_their_work_counts() {
         ServingCount {
             name: "fleet-chaos-20k",
             events: 31_403,
-            measured_allocations: 35,
+            measured_allocations: 33,
             run: &|| {
                 let r =
                     simulate_fleet_with_faults(&model, &chaos, &chaos_plan).expect("valid config");
@@ -320,7 +322,7 @@ fn serving_engines_keep_their_work_counts() {
         ServingCount {
             name: "global-fleet",
             events: 31_047,
-            measured_allocations: 1_218,
+            measured_allocations: 1_154,
             run: &|| {
                 let r = simulate_global(&model, &global).expect("valid config");
                 r.metrics.events_processed.get()

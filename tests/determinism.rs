@@ -1,7 +1,7 @@
 //! Determinism properties of the parallel substrates: multi-seed
 //! replication must be a pure, order-preserving fan-out, so a parallel
 //! sweep is byte-identical to a sequential one — the invariant the
-//! `--jobs` flag and the CI bench-smoke job rely on.
+//! `--jobs` flag and the CI parallel-determinism job rely on.
 
 use proptest::prelude::*;
 
