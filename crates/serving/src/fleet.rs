@@ -707,10 +707,11 @@ fn mix_seed(seed: u64, a: u64, b: u64) -> u64 {
     splitmix64(seed ^ a.wrapping_mul(0xA076_1D64_78BD_642F) ^ b.wrapping_mul(0xE703_7ED1_A0B4_28DB))
 }
 
-/// An upper bound on [`poisson`]`(rng, mean)`. From mean 30 up, the
-/// normal draw's `z` has |z| < 8.5, because its uniform is at least
-/// `f64::EPSILON`, so `sqrt(-2 ln u)` is at most 8.49. Below mean 30,
-/// Knuth inversion passes 76 only with probability under 1e-10.
+/// The largest value [`poisson`] returns for a `mean` of 30 or more:
+/// its normal draw has |z| < 8.5, because the uniform under the log is
+/// at least `f64::EPSILON`, so `sqrt(-2 ln u)` is at most 8.49. Below
+/// 30, Knuth inversion has no hard bound, but its chance of drawing
+/// even a million is below 1e-300.
 fn max_poisson_draw(mean: f64) -> f64 {
     mean + 8.5 * mean.sqrt()
 }
@@ -1201,7 +1202,9 @@ fn run_global(
                 let mut fc = cell.fleet;
                 fc.pool.servers = s.active;
                 fc.pool.base.requests = n_run as usize;
-                fc.pool.base.arrival_rate_rps = n_run as f64 / dt;
+                // A subnormal slice overflows `n_run / dt`; the largest
+                // finite rate lands its arrivals at the start all the same.
+                fc.pool.base.arrival_rate_rps = (n_run as f64 / dt).min(f64::MAX);
                 fc.pool.base.seed = mix_seed(cfg.seed, (e as u64) << 16 | 0xCE11, c as u64);
                 // The template, slice, and substitutions were validated
                 // up front; a failure here is a bug, not bad input.
@@ -1728,10 +1731,9 @@ mod tests {
             simulate_global(&model(), &cfg),
             Err(ConfigError::TooManyEpochArrivals(peak)) if peak == 1.35e10
         ));
-        // Just inside the bound: the largest draw fits the id space.
+        // Just inside the bound: the largest draw at a peak mean of
+        // 4.05e9 fits the id space.
         cfg.traffic.base_rps = 3.0e9;
-        assert!(max_poisson_draw(3.0e9 * 1.35) <= MAX_REQUESTS as f64);
-        cfg.traffic.base_rps = 3.0e9 / 1.35;
         assert_eq!(cfg.validate(), Ok(()));
         // A flash crowd raises the peak.
         cfg.traffic = cfg.traffic.with_flash(0.5, 0.1, 2.0);
@@ -1739,6 +1741,31 @@ mod tests {
             cfg.validate(),
             Err(ConfigError::TooManyEpochArrivals(_))
         ));
+    }
+
+    #[test]
+    fn subnormal_epoch_slice_keeps_the_cell_rate_finite() {
+        // Regression: near-f64::MAX traffic over a subnormal epoch drew
+        // one arrival here, the cell's rate 1 / dt overflowed to inf,
+        // and its DES run failed the "validated per-cell config"
+        // expectation.
+        let cfg = GlobalConfig {
+            cells: vec![Cell::new(cell_template(2), 2500.0, 2)],
+            traffic: TrafficModel::diurnal(1e308, 0.0, 1.0),
+            cell_faults: Vec::new(),
+            autoscaler: AutoscalerConfig::default(),
+            geo: GeoPolicy {
+                failover: false,
+                ..GeoPolicy::default()
+            },
+            epoch_s: 1e-310,
+            horizon_s: 1e-310,
+            seed: 155,
+        };
+        let r = simulate_global(&model(), &cfg).expect("valid");
+        assert_eq!(r.arrivals, 1);
+        assert_eq!(r.completed, 1);
+        assert!(r.conservation_holds());
     }
 
     #[test]

@@ -272,8 +272,6 @@ fn serving_engines_keep_their_work_counts() {
     // per-cell DES epochs.
     let global = global_fleet();
 
-    // Measured with a reused batch buffer per server; the slot arena of
-    // in-flight batches that it replaced made 27 / 27 / 35 / 27 / 1,218.
     let counts = [
         ServingCount {
             name: "des-10k-requests",
