@@ -34,4 +34,4 @@ pub use chip::{ChipConfig, ChipConfigBuilder, ConfigError, Generation};
 pub use cooling::CoolingTech;
 pub use memory::{MemLevel, MemSpec};
 pub use tech::{EnergyTable, ProcessNode};
-pub use topology::{DegradedIci, IciTopology, LinkFailures, TopologyError};
+pub use topology::IciTopology;

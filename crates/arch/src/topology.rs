@@ -5,13 +5,6 @@
 //! rings and 2-D tori. This module models hop counts and bisection so
 //! the scale-out analysis (E15) can reason about pods bigger than a
 //! board.
-//!
-//! Pods at fleet scale also *break*: TPUv4 routes around failed machines
-//! instead of draining the pod. [`LinkFailures`] masks failed links and
-//! chips out of a topology, and [`DegradedIci`] answers the questions a
-//! failure-aware scheduler asks — can traffic still reroute between two
-//! chips (and at what hop cost), is the pod partitioned, what is the
-//! largest surviving component, and how much bisection is left.
 
 use std::fmt;
 
@@ -33,7 +26,8 @@ pub enum IciTopology {
 
 impl IciTopology {
     /// The natural topology for an `n`-chip inference pod: single chip,
-    /// a ring up to boards of 8, a near-square torus beyond.
+    /// a ring up to boards of 8, a near-square torus beyond. A prime `n`
+    /// has no torus with both sides `>= 2`, so it stays a ring.
     pub fn recommended(n: u32) -> IciTopology {
         match n {
             0 | 1 => IciTopology::Single,
@@ -43,7 +37,11 @@ impl IciTopology {
                 while !n.is_multiple_of(x) {
                     x -= 1;
                 }
-                IciTopology::Torus2d { x, y: n / x }
+                if x == 1 {
+                    IciTopology::Ring(n)
+                } else {
+                    IciTopology::Torus2d { x, y: n / x }
+                }
             }
         }
     }
@@ -134,330 +132,6 @@ impl IciTopology {
     }
 }
 
-impl IciTopology {
-    /// Every physical link as a normalized `(lo, hi)` chip pair, sorted
-    /// and deduplicated (a 2-ring and 2-wide torus dimensions would
-    /// otherwise list their wrap link twice).
-    pub fn links(&self) -> Vec<(u32, u32)> {
-        let mut out: Vec<(u32, u32)> = Vec::new();
-        let mut push = |a: u32, b: u32| {
-            if a != b {
-                let l = (a.min(b), a.max(b));
-                if !out.contains(&l) {
-                    out.push(l);
-                }
-            }
-        };
-        match *self {
-            IciTopology::Single => {}
-            IciTopology::Ring(n) => {
-                for i in 0..n {
-                    push(i, (i + 1) % n);
-                }
-            }
-            IciTopology::Torus2d { x, y } => {
-                for cy in 0..y {
-                    for cx in 0..x {
-                        let i = cy * x + cx;
-                        push(i, cy * x + (cx + 1) % x);
-                        push(i, ((cy + 1) % y) * x + cx);
-                    }
-                }
-            }
-        }
-        out.sort_unstable();
-        out
-    }
-
-    /// Chips directly wired to `a`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `a` is out of range.
-    pub fn neighbors(&self, a: u32) -> Vec<u32> {
-        assert!(a < self.chips(), "chip index out of range");
-        self.links()
-            .into_iter()
-            .filter_map(|(u, v)| {
-                if u == a {
-                    Some(v)
-                } else if v == a {
-                    Some(u)
-                } else {
-                    None
-                }
-            })
-            .collect()
-    }
-
-    /// Applies a failure mask, producing the degraded topology view.
-    ///
-    /// # Errors
-    ///
-    /// [`TopologyError`] if a failed link is not a physical link of this
-    /// topology or a failed chip index is out of range.
-    pub fn degrade(&self, failures: &LinkFailures) -> Result<DegradedIci, TopologyError> {
-        let n = self.chips();
-        let physical = self.links();
-        for &(a, b) in &failures.links {
-            let norm = (a.min(b), a.max(b));
-            if !physical.contains(&norm) {
-                return Err(TopologyError::UnknownLink { a, b });
-            }
-        }
-        for &c in &failures.chips {
-            if c >= n {
-                return Err(TopologyError::ChipOutOfRange { chip: c, chips: n });
-            }
-        }
-        let mut alive = vec![true; n as usize];
-        for &c in &failures.chips {
-            alive[c as usize] = false;
-        }
-        let mut adj: Vec<Vec<u32>> = vec![Vec::new(); n as usize];
-        let mut surviving = Vec::new();
-        for (a, b) in physical {
-            let failed = failures
-                .links
-                .iter()
-                .any(|&(u, v)| (u.min(v), u.max(v)) == (a, b));
-            // A dead chip takes all its links down with it.
-            if failed || !alive[a as usize] || !alive[b as usize] {
-                continue;
-            }
-            adj[a as usize].push(b);
-            adj[b as usize].push(a);
-            surviving.push((a, b));
-        }
-        Ok(DegradedIci {
-            topology: *self,
-            alive,
-            adj,
-            surviving,
-        })
-    }
-}
-
-/// A set of failed ICI links and chips to mask out of a topology
-/// (TPUv4-style: route around failures instead of draining the pod).
-#[derive(Debug, Clone, Default, PartialEq, Eq)]
-pub struct LinkFailures {
-    /// Failed links as chip pairs (order within a pair is irrelevant).
-    pub links: Vec<(u32, u32)>,
-    /// Failed chips; all of a dead chip's links are down.
-    pub chips: Vec<u32>,
-}
-
-impl LinkFailures {
-    /// The healthy mask.
-    pub fn none() -> LinkFailures {
-        LinkFailures::default()
-    }
-
-    /// Only link failures.
-    pub fn links(links: Vec<(u32, u32)>) -> LinkFailures {
-        LinkFailures {
-            links,
-            chips: Vec::new(),
-        }
-    }
-
-    /// Only chip failures.
-    pub fn chips(chips: Vec<u32>) -> LinkFailures {
-        LinkFailures {
-            links: Vec::new(),
-            chips,
-        }
-    }
-
-    /// Whether the mask removes anything.
-    pub fn is_empty(&self) -> bool {
-        self.links.is_empty() && self.chips.is_empty()
-    }
-}
-
-/// An invalid failure mask.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum TopologyError {
-    /// The named link is not a physical link of the topology.
-    UnknownLink {
-        /// One endpoint.
-        a: u32,
-        /// The other endpoint.
-        b: u32,
-    },
-    /// A failed chip index outside the pod.
-    ChipOutOfRange {
-        /// The offending index.
-        chip: u32,
-        /// Pod size it must be below.
-        chips: u32,
-    },
-}
-
-impl fmt::Display for TopologyError {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match *self {
-            TopologyError::UnknownLink { a, b } => {
-                write!(f, "({a}, {b}) is not a link of this topology")
-            }
-            TopologyError::ChipOutOfRange { chip, chips } => {
-                write!(f, "failed chip {chip} out of range for a {chips}-chip pod")
-            }
-        }
-    }
-}
-
-impl std::error::Error for TopologyError {}
-
-/// A topology with a failure mask applied: the question it answers is
-/// *reroute or partition* — minimal surviving hop counts where a path
-/// exists, `None` where the pod has split.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct DegradedIci {
-    topology: IciTopology,
-    alive: Vec<bool>,
-    adj: Vec<Vec<u32>>,
-    surviving: Vec<(u32, u32)>,
-}
-
-impl DegradedIci {
-    /// The underlying (healthy) topology.
-    pub fn topology(&self) -> IciTopology {
-        self.topology
-    }
-
-    /// Chips still alive.
-    pub fn alive_chips(&self) -> u32 {
-        self.alive.iter().filter(|&&a| a).count() as u32
-    }
-
-    /// Whether chip `c` survived the mask.
-    pub fn is_alive(&self, c: u32) -> bool {
-        self.alive.get(c as usize).copied().unwrap_or(false)
-    }
-
-    /// Surviving links.
-    pub fn surviving_links(&self) -> &[(u32, u32)] {
-        &self.surviving
-    }
-
-    /// Minimal hops between `a` and `b` over surviving links (BFS since
-    /// shortest paths must now route around holes). `None` when either
-    /// endpoint is dead or the survivors are partitioned between them.
-    ///
-    /// # Panics
-    ///
-    /// Panics if an index is out of range.
-    pub fn hops(&self, a: u32, b: u32) -> Option<u32> {
-        let n = self.topology.chips();
-        assert!(a < n && b < n, "chip index out of range");
-        if !self.alive[a as usize] || !self.alive[b as usize] {
-            return None;
-        }
-        if a == b {
-            return Some(0);
-        }
-        let mut dist: Vec<Option<u32>> = vec![None; n as usize];
-        dist[a as usize] = Some(0);
-        let mut frontier = std::collections::VecDeque::from([a]);
-        while let Some(u) = frontier.pop_front() {
-            let d = dist[u as usize].expect("visited");
-            for &v in &self.adj[u as usize] {
-                if dist[v as usize].is_none() {
-                    if v == b {
-                        return Some(d + 1);
-                    }
-                    dist[v as usize] = Some(d + 1);
-                    frontier.push_back(v);
-                }
-            }
-        }
-        None
-    }
-
-    /// Whether every pair of *alive* chips can still reach each other.
-    pub fn is_connected(&self) -> bool {
-        self.largest_component().len() as u32 == self.alive_chips()
-    }
-
-    /// The largest set of mutually reachable alive chips (the fragment a
-    /// partitioned pod would keep serving from), sorted by index.
-    pub fn largest_component(&self) -> Vec<u32> {
-        let n = self.topology.chips() as usize;
-        let mut seen = vec![false; n];
-        let mut best: Vec<u32> = Vec::new();
-        for start in 0..n {
-            if seen[start] || !self.alive[start] {
-                continue;
-            }
-            let mut comp = vec![start as u32];
-            seen[start] = true;
-            let mut frontier = std::collections::VecDeque::from([start as u32]);
-            while let Some(u) = frontier.pop_front() {
-                for &v in &self.adj[u as usize] {
-                    if !seen[v as usize] {
-                        seen[v as usize] = true;
-                        comp.push(v);
-                        frontier.push_back(v);
-                    }
-                }
-            }
-            if comp.len() > best.len() {
-                best = comp;
-            }
-        }
-        best.sort_unstable();
-        best
-    }
-
-    /// The largest surviving minimal hop count over alive chip pairs;
-    /// `None` if the survivors are partitioned (or nothing is alive).
-    pub fn diameter(&self) -> Option<u32> {
-        let n = self.topology.chips();
-        let mut d = 0;
-        let mut any = false;
-        for a in 0..n {
-            for b in (a + 1)..n {
-                if self.alive[a as usize] && self.alive[b as usize] {
-                    any = true;
-                    d = d.max(self.hops(a, b)?);
-                }
-            }
-        }
-        if any || self.alive_chips() == 1 {
-            Some(d)
-        } else {
-            None
-        }
-    }
-
-    /// Surviving links crossing the healthy topology's worst-case
-    /// bisection cut — the degraded all-reduce bottleneck. Equals
-    /// [`IciTopology::bisection_links`] with an empty mask.
-    pub fn bisection_links(&self) -> u32 {
-        let side = |i: u32| -> bool {
-            match self.topology {
-                IciTopology::Single => false,
-                IciTopology::Ring(n) => i < n / 2,
-                IciTopology::Torus2d { x, y } => {
-                    // Cut across the longer dimension, matching the
-                    // healthy bisection count of 2 * min(x, y).
-                    if y >= x {
-                        (i / x) < y / 2
-                    } else {
-                        (i % x) < x / 2
-                    }
-                }
-            }
-        };
-        self.surviving
-            .iter()
-            .filter(|&&(a, b)| side(a) != side(b))
-            .count() as u32
-    }
-}
-
 impl fmt::Display for IciTopology {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match *self {
@@ -485,8 +159,15 @@ mod tests {
             IciTopology::recommended(12),
             IciTopology::Torus2d { x: 3, y: 4 }
         );
+        assert_eq!(IciTopology::recommended(11), IciTopology::Ring(11));
         for n in 1..64 {
-            assert_eq!(IciTopology::recommended(n).chips(), n.max(1));
+            let topo = IciTopology::recommended(n);
+            assert_eq!(topo.chips(), n.max(1));
+            match topo {
+                IciTopology::Single => assert_eq!(n, 1),
+                IciTopology::Ring(r) => assert!(r >= 2, "{topo}"),
+                IciTopology::Torus2d { x, y } => assert!(x >= 2 && y >= 2, "{topo}"),
+            }
         }
     }
 
@@ -544,95 +225,5 @@ mod tests {
     #[should_panic(expected = "out of range")]
     fn hop_bounds_checked() {
         IciTopology::Ring(4).hops(0, 4);
-    }
-
-    #[test]
-    fn link_enumeration_matches_link_budget() {
-        assert!(IciTopology::Single.links().is_empty());
-        assert_eq!(IciTopology::Ring(2).links(), vec![(0, 1)]);
-        assert_eq!(IciTopology::Ring(4).links().len(), 4);
-        // n chips * 4 links / 2 endpoints; 2-wide dims share wrap links.
-        assert_eq!(IciTopology::Torus2d { x: 4, y: 4 }.links().len(), 32);
-        assert_eq!(IciTopology::Torus2d { x: 2, y: 2 }.links().len(), 4);
-        let mut nbrs = IciTopology::Ring(4).neighbors(0);
-        nbrs.sort_unstable();
-        assert_eq!(nbrs, vec![1, 3]);
-    }
-
-    #[test]
-    fn healthy_mask_reproduces_healthy_metrics() {
-        for topo in [
-            IciTopology::Ring(6),
-            IciTopology::Torus2d { x: 4, y: 4 },
-            IciTopology::Torus2d { x: 3, y: 4 },
-        ] {
-            let d = topo.degrade(&LinkFailures::none()).unwrap();
-            assert!(d.is_connected());
-            assert_eq!(d.alive_chips(), topo.chips());
-            assert_eq!(d.diameter(), Some(topo.diameter()));
-            assert_eq!(d.bisection_links(), topo.bisection_links());
-            for a in 0..topo.chips() {
-                for b in 0..topo.chips() {
-                    assert_eq!(d.hops(a, b), Some(topo.hops(a, b)));
-                }
-            }
-        }
-    }
-
-    #[test]
-    fn ring_reroutes_the_long_way_around_a_cut_link() {
-        let d = IciTopology::Ring(6)
-            .degrade(&LinkFailures::links(vec![(2, 3)]))
-            .unwrap();
-        assert!(d.is_connected());
-        // 2-3 now goes the long way: 5 hops instead of 1.
-        assert_eq!(d.hops(2, 3), Some(5));
-        assert_eq!(d.hops(0, 1), Some(1));
-        assert_eq!(d.diameter(), Some(5));
-        // One of the two bisection-crossing links ({0..3} vs {3..6}) is
-        // gone.
-        assert_eq!(d.bisection_links(), 1);
-    }
-
-    #[test]
-    fn two_ring_cuts_partition_the_pod() {
-        let d = IciTopology::Ring(6)
-            .degrade(&LinkFailures::links(vec![(0, 1), (3, 4)]))
-            .unwrap();
-        assert!(!d.is_connected());
-        // {1,2,3} and {4,5,0} split evenly; largest component has 3.
-        assert_eq!(d.hops(0, 1), None);
-        assert_eq!(d.hops(0, 4), Some(2), "same fragment still routes");
-        assert_eq!(d.diameter(), None);
-        assert_eq!(d.largest_component().len(), 3);
-    }
-
-    #[test]
-    fn torus_routes_around_a_dead_chip() {
-        let t = IciTopology::Torus2d { x: 4, y: 4 };
-        let d = t.degrade(&LinkFailures::chips(vec![5])).unwrap();
-        assert!(d.is_connected(), "a torus survives one chip loss");
-        assert_eq!(d.alive_chips(), 15);
-        assert!(!d.is_alive(5));
-        assert_eq!(d.hops(5, 0), None, "dead chips are unreachable");
-        // Neighbors of the hole route around it: 4-6 was 2 hops, still 2
-        // via another row.
-        assert_eq!(d.hops(4, 6), Some(2));
-        assert!(d.bisection_links() < t.bisection_links());
-    }
-
-    #[test]
-    fn failure_masks_are_validated() {
-        let r = IciTopology::Ring(4);
-        assert_eq!(
-            r.degrade(&LinkFailures::links(vec![(0, 2)])),
-            Err(TopologyError::UnknownLink { a: 0, b: 2 })
-        );
-        assert_eq!(
-            r.degrade(&LinkFailures::chips(vec![4])),
-            Err(TopologyError::ChipOutOfRange { chip: 4, chips: 4 })
-        );
-        // Link order within the pair is irrelevant.
-        assert!(r.degrade(&LinkFailures::links(vec![(1, 0)])).is_ok());
     }
 }

@@ -141,7 +141,8 @@ pub fn e11_data() -> Vec<TenancyPoint> {
                     arrival_rate_rps: 400.0,
                 })
                 .collect();
-            let report = simulate_tenants(&chip, &tenants, &MultiTenantConfig::default());
+            let report = simulate_tenants(&chip, &tenants, &MultiTenantConfig::default())
+                .expect("valid tenant config");
             out.push(TenancyPoint {
                 chip: chip.name.clone(),
                 tenants: n,

@@ -7,8 +7,10 @@
 //!
 //! - [`run_app`] / [`AppRun`]: one app on one chip at one batch size;
 //! - [`suite`]: all eight production apps on one chip;
-//! - [`slo_operating_point`]: the SLO-derived batch and the simulated
-//!   latency at it (the operating point the paper's comparisons use);
+//! - [`ProfiledApp`]: an app profiled once on a chip, with its
+//!   SLO-derived batch and the simulated latency at it (the operating
+//!   point the paper's comparisons use), ready for overload and chaos
+//!   serving runs;
 //! - [`prelude`]: the workspace's main types in one import.
 //!
 //! # Example
@@ -192,52 +194,17 @@ pub struct OperatingPoint {
     pub throughput_rps: f64,
 }
 
-/// Profiles an app and finds its largest SLO-meeting batch on a chip.
-///
-/// # Errors
-///
-/// Propagates profiling errors as [`CoreError`].
-pub fn slo_operating_point(
-    app: &App,
-    chip: &ChipConfig,
-    options: &CompilerOptions,
-) -> Result<OperatingPoint, CoreError> {
-    profiled_operating_point(app, chip, options).map(|(_, op)| op)
-}
-
-fn profiled_operating_point(
-    app: &App,
-    chip: &ChipConfig,
-    options: &CompilerOptions,
-) -> Result<(LatencyModel, OperatingPoint), CoreError> {
-    let model = LatencyModel::profile(app, chip, options, &tpu_serving::latency::DEFAULT_BATCHES)?;
-    let slo_s = app.spec.slo_p99_ms / 1e3;
-    let found = slo::max_batch_within_slo(&model, slo_s, 1024);
-    let batch = found.unwrap_or(1);
-    let op = OperatingPoint {
-        app: app.spec.name.to_owned(),
-        slo_s,
-        batch,
-        feasible: found.is_some(),
-        latency_s: model.latency(batch),
-        throughput_rps: model.throughput(batch),
-    };
-    Ok((model, op))
-}
-
-/// The arrival seed the one-shot sweep entry points
-/// ([`slo_operating_point_under_overload`], [`chaos_operating_point`])
-/// use, kept for reproducibility of previously published tables.
+/// The canonical arrival seed: replication 0 of every seeded serving
+/// sweep, kept for reproducibility of previously published tables.
 pub const DEFAULT_SWEEP_SEED: u64 = 17;
 
 /// An app profiled once on a chip, ready to evaluate many serving
 /// scenarios against.
 ///
 /// Profiling (compile + cycle-level simulation across the batch ladder)
-/// costs orders of magnitude more than one DES run, and the one-shot
-/// entry points re-profile on every call. Sweeps and multi-seed
-/// replications should profile once via [`ProfiledApp::new`] and then
-/// evaluate [`ProfiledApp::overload_point`] /
+/// costs orders of magnitude more than one DES run, so sweeps and
+/// multi-seed replications profile once via [`ProfiledApp::new`] and
+/// then evaluate [`ProfiledApp::overload_point`] /
 /// [`ProfiledApp::chaos_point`] per grid point and seed.
 #[derive(Debug, Clone, PartialEq)]
 pub struct ProfiledApp {
@@ -250,7 +217,8 @@ pub struct ProfiledApp {
 }
 
 impl ProfiledApp {
-    /// Profiles `app` on `chip` and fixes its operating point.
+    /// Profiles `app` on `chip` and fixes its operating point: the
+    /// largest batch whose service latency meets the app's p99 SLO.
     ///
     /// # Errors
     ///
@@ -260,7 +228,19 @@ impl ProfiledApp {
         chip: &ChipConfig,
         options: &CompilerOptions,
     ) -> Result<ProfiledApp, CoreError> {
-        let (model, op) = profiled_operating_point(app, chip, options)?;
+        let model =
+            LatencyModel::profile(app, chip, options, &tpu_serving::latency::DEFAULT_BATCHES)?;
+        let slo_s = app.spec.slo_p99_ms / 1e3;
+        let found = slo::max_batch_within_slo(&model, slo_s, 1024);
+        let batch = found.unwrap_or(1);
+        let op = OperatingPoint {
+            app: app.spec.name.to_owned(),
+            slo_s,
+            batch,
+            feasible: found.is_some(),
+            latency_s: model.latency(batch),
+            throughput_rps: model.throughput(batch),
+        };
         let serving_batch = slo::max_batch_within_slo(&model, op.slo_s * 0.5, 1024).unwrap_or(1);
         Ok(ProfiledApp {
             model,
@@ -292,8 +272,9 @@ impl ProfiledApp {
     }
 
     /// The protected overload policy (deadline + expiry shedding +
-    /// capped queue + one retry), with the queue cap scaled to `servers`
-    /// replicas.
+    /// capped queue + one retry). The queue cap is the depth that drains
+    /// within the queue budget (at least one full batch), times
+    /// `servers`.
     fn protected_policy(&self, servers: usize) -> FleetPolicy {
         let op = &self.op;
         // A queued request is shed once the service time of a full batch
@@ -316,9 +297,23 @@ impl ProfiledApp {
         }
     }
 
-    /// [`slo_operating_point_under_overload`] for this profile, with an
-    /// explicit arrival `seed` (replications vary the seed to get
-    /// independent arrival draws over identical configs).
+    /// Simulates the operating point on one server offered
+    /// `load_factor` times its ideal capacity, with or without overload
+    /// protection, from the arrival `seed` (replications vary the seed
+    /// to get independent arrival draws over identical configs).
+    ///
+    /// With `shedding` enabled the server sheds queued requests past the
+    /// SLO deadline, caps the queue at the depth that drains within the
+    /// queue budget (SLO minus a full batch's service time, at least 5%
+    /// of the SLO), and lets
+    /// shed requests retry once — the policy that keeps goodput flat
+    /// through the cliff. Without it, every request is served
+    /// eventually, mostly too late, and goodput collapses (the paper's
+    /// Lesson 10 failure mode at fleet scale).
+    ///
+    /// `requests` sets the run length; overload only shows once the run
+    /// lasts many deadlines, so size it to the app's rate (a few
+    /// thousand for BERT-class apps, far more for sub-millisecond MLPs).
     ///
     /// # Errors
     ///
@@ -362,8 +357,18 @@ impl ProfiledApp {
         })
     }
 
-    /// [`chaos_operating_point`] for this profile, with an explicit
-    /// arrival `seed`.
+    /// Simulates `servers` replicas offered `load_factor` times one
+    /// server's ideal capacity under the fault plan `plan`, from the
+    /// arrival `seed` — the E22 chaos experiment's engine.
+    ///
+    /// The serving policy is the protected overload policy (deadline +
+    /// expiry shedding + capped queue + one retry), with the queue cap
+    /// scaled to the fleet: under faults the interesting question is not
+    /// *whether* overload protection is on but whether the health
+    /// checker reroutes around dead replicas. Pass
+    /// `plan.without_failover()` for the serve-through baseline — the
+    /// fault schedule materializes identically either way, so on/off
+    /// runs face the same injected faults.
     ///
     /// # Errors
     ///
@@ -383,8 +388,7 @@ impl ProfiledApp {
 
     /// [`ProfiledApp::chaos_point`] with the full request lifecycle
     /// recorded into `recorder` (spans, instants, and exact per-event
-    /// counters — see
-    /// [`simulate_fleet_recorded`](tpu_serving::simulate_fleet_recorded)).
+    /// counters — see [`simulate_fleet_recorded`]).
     /// The returned point is bit-identical to [`ProfiledApp::chaos_point`]
     /// at the same arguments: telemetry never feeds back into the run.
     ///
@@ -466,7 +470,7 @@ impl ProfiledApp {
 }
 
 /// An app's behavior when offered *more* load than its operating point
-/// sustains: the overload-aware companion to [`slo_operating_point`].
+/// sustains ([`ProfiledApp::overload_point`]).
 #[derive(Debug, Clone, PartialEq)]
 pub struct OverloadPoint {
     /// The underlying SLO operating point.
@@ -495,43 +499,9 @@ impl OverloadPoint {
     }
 }
 
-/// Simulates an app's SLO operating point under `load_factor` times its
-/// ideal capacity, with or without overload protection.
-///
-/// With `shedding` enabled the fleet sheds queued requests past the SLO
-/// deadline, caps the queue at four full batches, and lets shed
-/// requests retry once — the policy that keeps goodput flat through the
-/// cliff. Without it, every request is served eventually, mostly too
-/// late, and goodput collapses (the paper's Lesson 10 failure mode at
-/// fleet scale).
-///
-/// `requests` sets the run length; overload only shows once the run
-/// lasts many deadlines, so size it to the app's rate (a few thousand
-/// for BERT-class apps, far more for sub-millisecond MLPs).
-///
-/// # Errors
-///
-/// Propagates profiling errors and serving-config rejections as
-/// [`CoreError`].
-pub fn slo_operating_point_under_overload(
-    app: &App,
-    chip: &ChipConfig,
-    options: &CompilerOptions,
-    load_factor: f64,
-    shedding: bool,
-    requests: usize,
-) -> Result<OverloadPoint, CoreError> {
-    ProfiledApp::new(app, chip, options)?.overload_point(
-        load_factor,
-        shedding,
-        requests,
-        DEFAULT_SWEEP_SEED,
-    )
-}
-
-/// A replicated fleet's behavior under an injected fault plan: the
-/// chaos-engineering companion to [`slo_operating_point_under_overload`]
-/// (E22).
+/// A replicated fleet's behavior under an injected fault plan
+/// ([`ProfiledApp::chaos_point`], E22): the chaos-engineering companion
+/// to [`OverloadPoint`].
 #[derive(Debug, Clone, PartialEq)]
 pub struct ChaosPoint {
     /// The underlying SLO operating point.
@@ -553,40 +523,6 @@ pub struct ChaosPoint {
     pub failover: bool,
     /// The full serving report under the fault plan.
     pub report: ServingReport,
-}
-
-/// Simulates a replicated fleet at `load_factor` times one server's
-/// ideal capacity, under the fault plan `plan` — the E22 chaos
-/// experiment's engine.
-///
-/// The serving policy is the protected overload policy (deadline +
-/// expiry shedding + capped queue + one retry), scaled to the fleet:
-/// under faults the interesting question is not *whether* overload
-/// protection is on but whether the health checker reroutes around dead
-/// replicas. Pass `plan.without_failover()` for the serve-through
-/// baseline — the fault schedule materializes identically either way, so
-/// on/off runs face the same injected faults.
-///
-/// # Errors
-///
-/// Propagates profiling errors and serving/fault-plan config rejections
-/// as [`CoreError`].
-pub fn chaos_operating_point(
-    app: &App,
-    chip: &ChipConfig,
-    options: &CompilerOptions,
-    servers: usize,
-    load_factor: f64,
-    plan: &FaultPlan,
-    requests: usize,
-) -> Result<ChaosPoint, CoreError> {
-    ProfiledApp::new(app, chip, options)?.chaos_point(
-        servers,
-        load_factor,
-        plan,
-        requests,
-        DEFAULT_SWEEP_SEED,
-    )
 }
 
 #[cfg(test)]
@@ -623,7 +559,8 @@ mod tests {
     #[test]
     fn operating_point_respects_slo() {
         let chip = catalog::tpu_v4i();
-        let op = slo_operating_point(&zoo::mlp0(), &chip, &CompilerOptions::default()).unwrap();
+        let profiled = ProfiledApp::new(&zoo::mlp0(), &chip, &CompilerOptions::default()).unwrap();
+        let op = profiled.operating_point();
         assert!(op.feasible);
         assert!(op.latency_s <= op.slo_s);
         assert!(op.batch >= 1);
@@ -635,8 +572,10 @@ mod tests {
         // RNN0's 60 ms SLO admits bigger batches than MLP0's 7 ms on the
         // same chip — Lesson 10's mechanism.
         let chip = catalog::tpu_v4i();
-        let tight = slo_operating_point(&zoo::mlp0(), &chip, &CompilerOptions::default()).unwrap();
-        let loose = slo_operating_point(&zoo::cnn1(), &chip, &CompilerOptions::default()).unwrap();
+        let tight = ProfiledApp::new(&zoo::mlp0(), &chip, &CompilerOptions::default()).unwrap();
+        let tight = tight.operating_point();
+        let loose = ProfiledApp::new(&zoo::cnn1(), &chip, &CompilerOptions::default()).unwrap();
+        let loose = loose.operating_point();
         // CNN1 (32 ms) is heavy per inference; the comparison that's
         // robust is that each meets its own SLO.
         assert!(tight.latency_s <= tight.slo_s);
@@ -662,12 +601,13 @@ mod tests {
         // overloads the server within a few thousand requests.
         let chip = catalog::tpu_v4i();
         let options = CompilerOptions::default();
-        let plain =
-            slo_operating_point_under_overload(&zoo::bert0(), &chip, &options, 1.5, false, 4000)
-                .unwrap();
-        let shed =
-            slo_operating_point_under_overload(&zoo::bert0(), &chip, &options, 1.5, true, 4000)
-                .unwrap();
+        let profiled = ProfiledApp::new(&zoo::bert0(), &chip, &options).unwrap();
+        let plain = profiled
+            .overload_point(1.5, false, 4000, DEFAULT_SWEEP_SEED)
+            .unwrap();
+        let shed = profiled
+            .overload_point(1.5, true, 4000, DEFAULT_SWEEP_SEED)
+            .unwrap();
         // Without shedding everything completes (late); with it some load
         // is turned away and what's served meets the deadline.
         assert_eq!(plain.report.shed, 0);

@@ -13,7 +13,7 @@
 //!   weights, which is why pipelining can be *super-linear* for models
 //!   that overflow one chip's CMEM.
 
-use tpu_arch::{ChipConfig, MemLevel};
+use tpu_arch::ChipConfig;
 use tpu_hlo::{compile, CompilerOptions, Graph};
 use tpu_sim::plan::{StepKind, StepPlan};
 use tpu_sim::Simulator;
@@ -116,12 +116,6 @@ pub fn simulate_pipeline(
     })
 }
 
-/// Whether a model's weights fit the CMEM of `chips` pipelined chips.
-pub fn fits_pooled_cmem(chip: &ChipConfig, weight_bytes: u64, chips: u64) -> bool {
-    let per_chip = chip.mem(MemLevel::Cmem).map_or(0, |c| c.capacity_bytes);
-    weight_bytes <= per_chip * chips
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -213,16 +207,6 @@ mod tests {
             simulate_pipeline(&[], &chip, &CompilerOptions::default(), 0),
             Err(CoreError::Compile(_))
         ));
-    }
-
-    #[test]
-    fn pooled_cmem_capacity_check() {
-        let v4i = catalog::tpu_v4i();
-        let bert1_bytes = zoo::bert1().build(1).unwrap().weight_bytes();
-        assert!(!fits_pooled_cmem(&v4i, bert1_bytes, 1));
-        assert!(fits_pooled_cmem(&v4i, bert1_bytes, 8));
-        // No CMEM at all on TPUv3.
-        assert!(!fits_pooled_cmem(&catalog::tpu_v3(), bert1_bytes, 64));
     }
 }
 
@@ -327,348 +311,6 @@ pub fn simulate_data_parallel(
             0.0
         },
     })
-}
-
-/// A pipeline simulated over a degraded pod (failed ICI links/chips).
-#[derive(Debug, Clone, PartialEq)]
-pub struct FaultyPipelineReport {
-    /// Whether the chain survived: every stage chip alive and every
-    /// consecutive stage pair still routable over surviving links.
-    pub alive: bool,
-    /// ICI hops each activation transfer takes after rerouting around
-    /// the failures (all 1s on a healthy pod). Empty if the chain died.
-    pub rerouted_hops: Vec<u32>,
-    /// The degraded pipeline result; `None` when the chain is dead —
-    /// a pipeline loses the *whole* chain to one chip loss, which is
-    /// exactly why serving fleets replicate pipelines and fail over.
-    pub report: Option<PipelineReport>,
-}
-
-/// Availability of an `n`-chip pipeline chain when each chip is
-/// independently up with probability `per_chip`: all `n` must be up, so
-/// the chain multiplies failure exposure (`a^n`). The serial-chain
-/// penalty is the quantitative argument for failover replication.
-pub fn pipeline_availability(per_chip: f64, chips: u32) -> f64 {
-    per_chip.clamp(0.0, 1.0).powi(chips as i32)
-}
-
-/// [`simulate_pipeline`] over a degraded pod: stage `i` runs on chip `i`
-/// of the recommended topology for the stage count, and activations
-/// reroute around `failures` (TPUv4-style) — or the chain dies if a
-/// stage chip is dead or the survivors are partitioned between
-/// consecutive stages.
-///
-/// # Errors
-///
-/// Propagates compile/simulate failures and rejects failure masks that
-/// name links or chips the topology does not have.
-pub fn simulate_pipeline_with_failures(
-    stages: &[Graph],
-    chip: &ChipConfig,
-    options: &CompilerOptions,
-    hop_bytes: u64,
-    failures: &tpu_arch::LinkFailures,
-) -> Result<FaultyPipelineReport, CoreError> {
-    let topology = tpu_arch::IciTopology::recommended(stages.len() as u32);
-    let degraded = topology
-        .degrade(failures)
-        .map_err(|e| CoreError::Sim(e.to_string()))?;
-    let mut rerouted = Vec::with_capacity(stages.len().saturating_sub(1));
-    for i in 0..stages.len().saturating_sub(1) {
-        match degraded.hops(i as u32, i as u32 + 1) {
-            Some(h) => rerouted.push(h),
-            // A dead stage chip or a partition between stages: fail-stop
-            // for the whole chain.
-            None => {
-                return Ok(FaultyPipelineReport {
-                    alive: false,
-                    rerouted_hops: Vec::new(),
-                    report: None,
-                })
-            }
-        }
-    }
-    if stages.len() == 1 && !degraded.is_alive(0) {
-        return Ok(FaultyPipelineReport {
-            alive: false,
-            rerouted_hops: Vec::new(),
-            report: None,
-        });
-    }
-    let mut report = simulate_pipeline(stages, chip, options, hop_bytes)?;
-    // Rerouted transfers cross more links; serialize per extra hop.
-    for (hop_s, &hops) in report.hop_seconds.iter_mut().zip(&rerouted) {
-        *hop_s *= hops as f64;
-    }
-    report.latency_s =
-        report.stage_seconds.iter().sum::<f64>() + report.hop_seconds.iter().sum::<f64>();
-    let bottleneck = report
-        .stage_seconds
-        .iter()
-        .chain(report.hop_seconds.iter())
-        .fold(0.0f64, |a, &b| a.max(b));
-    report.batches_per_sec = if bottleneck > 0.0 {
-        1.0 / bottleneck
-    } else {
-        0.0
-    };
-    Ok(FaultyPipelineReport {
-        alive: true,
-        rerouted_hops: rerouted,
-        report: Some(report),
-    })
-}
-
-/// Data-parallel serving over a degraded pod.
-#[derive(Debug, Clone, PartialEq)]
-pub struct FaultyDataParallelReport {
-    /// Pod size before failures.
-    pub requested_chips: u64,
-    /// Chips in the largest surviving connected fragment — the shard
-    /// group that keeps serving (data parallelism degrades
-    /// *proportionally*, unlike a pipeline chain).
-    pub surviving_chips: u64,
-    /// Surviving links across the healthy bisection cut (the degraded
-    /// all-reduce bottleneck).
-    pub degraded_bisection: u32,
-    /// The reshard result over the survivors (`chips` =
-    /// `surviving_chips`).
-    pub report: DataParallelReport,
-}
-
-/// [`simulate_data_parallel`] over a degraded pod: the batch reshards
-/// across the largest connected fragment of surviving chips, and the
-/// output gather pays the fragment's (rerouted) diameter.
-///
-/// # Errors
-///
-/// Propagates compile/simulate failures; rejects invalid masks and pods
-/// with no surviving chips.
-pub fn simulate_data_parallel_with_failures(
-    app: &tpu_workloads::App,
-    chip: &ChipConfig,
-    options: &CompilerOptions,
-    chips: u64,
-    batch: u64,
-    failures: &tpu_arch::LinkFailures,
-) -> Result<FaultyDataParallelReport, CoreError> {
-    let chips = chips.max(1);
-    let topology = tpu_arch::IciTopology::recommended(chips as u32);
-    let degraded = topology
-        .degrade(failures)
-        .map_err(|e| CoreError::Sim(e.to_string()))?;
-    let fragment = degraded.largest_component();
-    if fragment.is_empty() {
-        return Err(CoreError::Sim(format!(
-            "no chips survive the failure mask on a {chips}-chip pod"
-        )));
-    }
-    let survivors = fragment.len() as u64;
-    if survivors > 1 && chip.ici_links == 0 {
-        return Err(CoreError::Sim(format!(
-            "{} has no ICI links for a {survivors}-chip pod",
-            chip.name
-        )));
-    }
-    let shard_batch = batch.div_ceil(survivors).max(1);
-    let graph = app
-        .build(shard_batch)
-        .map_err(|e| CoreError::Compile(e.to_string()))?;
-    let exe = compile(&graph, chip, options)?;
-    let sim = Simulator::new(chip.clone());
-    let shard_seconds = sim.run(exe.plan())?.seconds;
-
-    let shard_output_bytes: u64 = graph
-        .outputs()
-        .iter()
-        .map(|&o| graph.node(o).shape.bytes(graph.dtype()))
-        .sum();
-    let gather_seconds = if survivors == 1 {
-        0.0
-    } else {
-        let mut gather = StepPlan::new("gather");
-        for _ in 1..survivors {
-            gather.push(
-                StepKind::Ici {
-                    bytes: shard_output_bytes,
-                },
-                &[],
-            );
-        }
-        let transfers = sim.run(&gather)?.seconds;
-        // The farthest surviving shard pays the rerouted hop distance.
-        let mut diameter = 0u32;
-        for (i, &a) in fragment.iter().enumerate() {
-            for &b in &fragment[i + 1..] {
-                if let Some(h) = degraded.hops(a, b) {
-                    diameter = diameter.max(h);
-                }
-            }
-        }
-        transfers + diameter as f64 * 1e-6
-    };
-
-    let latency_s = shard_seconds + gather_seconds;
-    let bottleneck = shard_seconds.max(gather_seconds);
-    Ok(FaultyDataParallelReport {
-        requested_chips: chips,
-        surviving_chips: survivors,
-        degraded_bisection: degraded.bisection_links(),
-        report: DataParallelReport {
-            chips: survivors,
-            topology,
-            shard_seconds,
-            gather_seconds,
-            latency_s,
-            batches_per_sec: if bottleneck > 0.0 {
-                1.0 / bottleneck
-            } else {
-                0.0
-            },
-        },
-    })
-}
-
-#[cfg(test)]
-mod fault_tests {
-    use super::*;
-    use tpu_arch::{catalog, LinkFailures};
-    use tpu_numerics::DType;
-    use tpu_workloads::zoo::{self, BERT1_CONFIG};
-
-    fn stages4() -> (Vec<Graph>, u64) {
-        let batch = 8;
-        let stages =
-            zoo::bert_pipeline(&BERT1_CONFIG, batch, DType::Bf16, 4).expect("stages build");
-        let hop = zoo::bert_stage_activation_bytes(&BERT1_CONFIG, batch, DType::Bf16);
-        (stages, hop)
-    }
-
-    #[test]
-    fn healthy_mask_matches_plain_pipeline() {
-        let chip = catalog::tpu_v4i();
-        let (stages, hop) = stages4();
-        let plain = simulate_pipeline(&stages, &chip, &CompilerOptions::default(), hop).unwrap();
-        let faulty = simulate_pipeline_with_failures(
-            &stages,
-            &chip,
-            &CompilerOptions::default(),
-            hop,
-            &LinkFailures::none(),
-        )
-        .unwrap();
-        assert!(faulty.alive);
-        assert_eq!(faulty.rerouted_hops, vec![1, 1, 1]);
-        assert_eq!(faulty.report, Some(plain));
-    }
-
-    #[test]
-    fn one_chip_loss_kills_the_whole_chain() {
-        let chip = catalog::tpu_v4i();
-        let (stages, hop) = stages4();
-        let faulty = simulate_pipeline_with_failures(
-            &stages,
-            &chip,
-            &CompilerOptions::default(),
-            hop,
-            &LinkFailures::chips(vec![2]),
-        )
-        .unwrap();
-        assert!(!faulty.alive);
-        assert!(faulty.report.is_none());
-    }
-
-    #[test]
-    fn link_cut_reroutes_and_costs_latency() {
-        let chip = catalog::tpu_v4i();
-        let (stages, hop) = stages4();
-        let plain = simulate_pipeline(&stages, &chip, &CompilerOptions::default(), hop).unwrap();
-        // Ring(4) with the 1-2 link cut: the 1→2 activation goes the
-        // long way (3 hops via 0 and 3).
-        let faulty = simulate_pipeline_with_failures(
-            &stages,
-            &chip,
-            &CompilerOptions::default(),
-            hop,
-            &LinkFailures::links(vec![(1, 2)]),
-        )
-        .unwrap();
-        assert!(faulty.alive);
-        assert_eq!(faulty.rerouted_hops, vec![1, 3, 1]);
-        let degraded = faulty.report.unwrap();
-        assert!(degraded.latency_s > plain.latency_s);
-        assert!(degraded.batches_per_sec <= plain.batches_per_sec);
-    }
-
-    #[test]
-    fn data_parallel_degrades_proportionally_not_fatally() {
-        let chip = catalog::tpu_v4i();
-        let options = CompilerOptions::default();
-        let healthy = simulate_data_parallel_with_failures(
-            &zoo::cnn0(),
-            &chip,
-            &options,
-            4,
-            128,
-            &LinkFailures::none(),
-        )
-        .unwrap();
-        assert_eq!(healthy.surviving_chips, 4);
-        let wounded = simulate_data_parallel_with_failures(
-            &zoo::cnn0(),
-            &chip,
-            &options,
-            4,
-            128,
-            &LinkFailures::chips(vec![1]),
-        )
-        .unwrap();
-        // One chip down: the other three reshard and keep serving with
-        // bigger shards (slower), instead of dying like a pipeline.
-        assert_eq!(wounded.surviving_chips, 3);
-        assert!(wounded.report.latency_s > healthy.report.latency_s);
-        assert!(wounded.report.batches_per_sec > 0.0);
-        assert!(wounded.degraded_bisection < healthy.degraded_bisection);
-    }
-
-    #[test]
-    fn chain_availability_is_exponential_in_depth() {
-        let a = 0.995f64;
-        assert!((pipeline_availability(a, 1) - a).abs() < 1e-12);
-        let chain4 = pipeline_availability(a, 4);
-        assert!((chain4 - a.powi(4)).abs() < 1e-12);
-        assert!(chain4 < a);
-        // Clamped inputs stay probabilities.
-        assert_eq!(pipeline_availability(1.5, 8), 1.0);
-    }
-
-    #[test]
-    fn empty_pods_and_bad_masks_are_rejected() {
-        let chip = catalog::tpu_v4i();
-        let options = CompilerOptions::default();
-        assert!(matches!(
-            simulate_data_parallel_with_failures(
-                &zoo::mlp0(),
-                &chip,
-                &options,
-                2,
-                32,
-                &LinkFailures::chips(vec![0, 1]),
-            ),
-            Err(CoreError::Sim(_))
-        ));
-        let (stages, hop) = stages4();
-        assert!(matches!(
-            simulate_pipeline_with_failures(
-                &stages,
-                &chip,
-                &CompilerOptions::default(),
-                hop,
-                &LinkFailures::links(vec![(0, 2)]),
-            ),
-            Err(CoreError::Sim(_))
-        ));
-    }
 }
 
 #[cfg(test)]

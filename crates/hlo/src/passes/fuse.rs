@@ -4,8 +4,8 @@ use super::{Pass, PassResult};
 use crate::fusion;
 use crate::graph::Graph;
 
-/// Runs the fusion analysis and publishes its [`FusionMap`]
-/// (crate::fusion::FusionMap) through the pass manager.
+/// Runs the fusion analysis and publishes its
+/// [`FusionMap`](crate::fusion::FusionMap) through the pass manager.
 ///
 /// This is an *analysis* pass: it never rewrites the graph, so it never
 /// perturbs the fixpoint loop. It should sit last in a pipeline — the

@@ -12,7 +12,7 @@
 //!    must not increase total live flops (optimizers delete work, they
 //!    don't invent it);
 //! 4. optionally ([`PassManager::check_equivalence`]), each rewrite is
-//!    differentially tested against the [`eval`](crate::eval) reference
+//!    differentially tested against the [`eval`] reference
 //!    evaluator — before/after outputs must agree elementwise.
 //!
 //! The shipped passes are [`ConstantFold`] (reshape-of-constant
@@ -214,11 +214,6 @@ impl PassManager {
     pub fn check_equivalence(mut self, tolerance: f32) -> PassManager {
         self.equivalence = Some((tolerance, EvalOptions::default()));
         self
-    }
-
-    /// Names of the passes, in pipeline order.
-    pub fn pass_names(&self) -> Vec<&'static str> {
-        self.passes.iter().map(|p| p.name()).collect()
     }
 
     /// Runs the pipeline to a fixpoint.

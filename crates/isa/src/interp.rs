@@ -170,11 +170,6 @@ impl Interpreter {
         self.sregs[i]
     }
 
-    /// Writes a scalar register.
-    pub fn write_sreg(&mut self, i: usize, v: i64) {
-        self.sregs[i] = v;
-    }
-
     /// Reads a vector register.
     pub fn vreg(&self, i: usize) -> &[f32] {
         &self.vregs[i]

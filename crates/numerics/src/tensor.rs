@@ -85,11 +85,6 @@ impl Tensor {
         &self.data
     }
 
-    /// Mutable view of the data, row-major.
-    pub fn data_mut(&mut self) -> &mut [f32] {
-        &mut self.data
-    }
-
     /// A row of a 2-D tensor.
     ///
     /// # Panics

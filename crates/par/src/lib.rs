@@ -11,7 +11,6 @@
 //!   returning results **in input order** regardless of which worker ran
 //!   which item — the property that makes parallel sweeps byte-identical
 //!   to sequential ones;
-//! - [`par_chunks`]: the same over contiguous chunks;
 //! - [`scope`]: re-exported [`std::thread::scope`] for irregular fan-out;
 //! - [`num_threads`]: the worker count, overridable with the
 //!   `TPU_SIM_THREADS` environment variable (`TPU_SIM_THREADS=1`
@@ -135,23 +134,6 @@ where
         .collect()
 }
 
-/// Maps `f` over contiguous chunks of `items` (the last chunk may be
-/// short), in parallel, returning per-chunk results in chunk order.
-///
-/// # Panics
-///
-/// Panics if `chunk_size == 0`.
-pub fn par_chunks<T, U, F>(items: &[T], chunk_size: usize, f: F) -> Vec<U>
-where
-    T: Sync,
-    U: Send,
-    F: Fn(&[T]) -> U + Sync,
-{
-    assert!(chunk_size > 0, "par_chunks needs a positive chunk size");
-    let chunks: Vec<&[T]> = items.chunks(chunk_size).collect();
-    par_map(&chunks, |c| f(c))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -207,23 +189,6 @@ mod tests {
             .or_else(|| payload.downcast_ref::<String>().cloned())
             .unwrap_or_default();
         assert!(msg.contains("exploded"), "unexpected payload: {msg}");
-    }
-
-    #[test]
-    fn par_chunks_covers_the_slice_in_order() {
-        let items: Vec<u64> = (0..103).collect();
-        let sums = par_chunks(&items, 10, |c| c.iter().sum::<u64>());
-        assert_eq!(sums.len(), 11);
-        assert_eq!(sums.iter().sum::<u64>(), items.iter().sum::<u64>());
-        // First chunk is 0..10, last is 100..103.
-        assert_eq!(sums[0], 45);
-        assert_eq!(sums[10], 100 + 101 + 102);
-    }
-
-    #[test]
-    #[should_panic(expected = "positive chunk size")]
-    fn par_chunks_rejects_zero() {
-        par_chunks(&[1, 2, 3], 0, |c| c.len());
     }
 
     #[test]

@@ -396,6 +396,10 @@ pub enum ConfigError {
     /// A prefill/decode latency curve evaluated non-positive or
     /// non-finite (zero-latency steps make token rates infinite).
     NonPositiveGenLatency(f64),
+    /// A multi-tenant run needs at least one tenant.
+    NoTenants,
+    /// The host-link bandwidth for weight swaps must be finite and > 0.
+    InvalidHostLinkBandwidth(f64),
     /// A global fleet needs at least one cell.
     NoCells,
     /// The geo control epoch must be finite and > 0.
@@ -416,10 +420,6 @@ pub enum ConfigError {
     InvalidDiurnalAmplitude(f64),
     /// The diurnal period must be finite and > 0.
     InvalidTrafficPeriod(f64),
-    /// A tenant's traffic share must be finite and > 0.
-    InvalidTenantShare(f64),
-    /// A tenant's diurnal phase offset must be finite.
-    InvalidTenantPhase(f64),
     /// A flash crowd's start/duration must be finite, with start >= 0
     /// and duration > 0.
     InvalidFlashWindow(f64),
@@ -544,6 +544,10 @@ impl fmt::Display for ConfigError {
             ConfigError::NonPositiveGenLatency(t) => {
                 write!(f, "prefill/decode latency must be finite and > 0, got {t}")
             }
+            ConfigError::NoTenants => write!(f, "a multi-tenant run needs at least one tenant"),
+            ConfigError::InvalidHostLinkBandwidth(b) => {
+                write!(f, "host_link_bps must be finite and > 0, got {b}")
+            }
             ConfigError::NoCells => write!(f, "a global fleet needs at least one cell"),
             ConfigError::InvalidEpoch(e) => {
                 write!(f, "epoch_s must be finite and > 0, got {e}")
@@ -572,12 +576,6 @@ impl fmt::Display for ConfigError {
             }
             ConfigError::InvalidTrafficPeriod(p) => {
                 write!(f, "diurnal period_s must be finite and > 0, got {p}")
-            }
-            ConfigError::InvalidTenantShare(s) => {
-                write!(f, "tenant share must be finite and > 0, got {s}")
-            }
-            ConfigError::InvalidTenantPhase(p) => {
-                write!(f, "tenant phase_s must be finite, got {p}")
             }
             ConfigError::InvalidFlashWindow(t) => {
                 write!(

@@ -10,9 +10,8 @@
 //! ([`crate::des`] fleets with [`crate::faults`] fault plans and
 //! failover routers) under a global control plane:
 //!
-//! - a validated [`TrafficModel`]: diurnal sinusoid × tenant mix (e.g.
-//!   the `workloads/zoo` fleet shares) + scheduled [`FlashCrowd`]
-//!   spikes, all a pure function of (config, seed);
+//! - a validated [`TrafficModel`]: a diurnal sinusoid × scheduled
+//!   [`FlashCrowd`] spikes, all a pure function of (config, seed);
 //! - a [`GlobalConfig`] of N [`Cell`]s, each an existing
 //!   [`FleetConfig`] with its own per-server [`FaultPlan`] and failover
 //!   router;
@@ -37,13 +36,16 @@
 //! when geo-failover is on, (4) runs one full per-cell DES
 //! ([`crate::des::simulate_fleet_samples`]) per cell with that epoch's
 //! slice of the cell's materialized fault plan, and (5) feeds the
-//! measured utilization into the autoscaler. Queue state does not
-//! carry across epochs: requests still queued at an epoch boundary are
-//! accounted as `dropped` (conservation over silent loss), and health
-//! beliefs inside a cell reset each epoch — a deliberate modeling
-//! choice that keeps every epoch an independent, deterministic DES run
-//! while the *global* control loop carries the persistent state
-//! (server counts, pending scale-ups, cell-down beliefs).
+//! measured utilization into the autoscaler. Each epoch's per-cell DES
+//! runs until every request assigned to it resolves, past the epoch end
+//! if need be, so nothing is cut off at an epoch boundary: `dropped`
+//! counts only requests stranded when a cell's event heap empties (for
+//! example, every server down). Queue state and health beliefs inside a
+//! cell do not carry across epochs — a deliberate modeling choice that
+//! keeps every epoch an independent, deterministic DES run while the
+//! *global* control loop carries the persistent state (server counts,
+//! pending scale-ups, cell-down beliefs). ROADMAP item 4 measures what
+//! this costs and plans resumable cell engines that carry the backlog.
 //!
 //! Redirected requests merge into the destination cell's Poisson
 //! stream; the redirect latency penalty is applied to a
@@ -77,20 +79,6 @@ use tpu_telemetry::{Recorder, SpanPhase, TelemetryEvent, Track};
 // Traffic model
 // ---------------------------------------------------------------------------
 
-/// One tenant's contribution to the global traffic mix (e.g. a
-/// `workloads/zoo` production app with its fleet share).
-#[derive(Debug, Clone, PartialEq)]
-pub struct TenantStream {
-    /// Tenant label (e.g. the zoo app name); reporting only.
-    pub name: String,
-    /// Relative share of the base rate (> 0; shares are normalized, so
-    /// they need not sum to 1).
-    pub share: f64,
-    /// Phase offset of this tenant's diurnal cycle, seconds — regional
-    /// user bases peak at different times of the global day.
-    pub phase_s: f64,
-}
-
 /// A scheduled flash-crowd spike: the global rate multiplies by
 /// `multiplier` over `[at_s, at_s + duration_s)`.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -104,13 +92,12 @@ pub struct FlashCrowd {
     pub multiplier: f64,
 }
 
-/// Open-loop user-population traffic: a diurnal sinusoid per tenant
-/// plus scheduled flash crowds.
+/// Open-loop user-population traffic: a diurnal sinusoid plus
+/// scheduled flash crowds.
 ///
 /// The instantaneous rate at time `t` is
-/// `base_rps * Σ_i share_i/Σshare * (1 + A*sin(2π(t+phase_i)/period))
-/// * flash(t)`; with no tenants the mix collapses to a single
-/// zero-phase sinusoid. `A < 1` keeps the rate strictly positive.
+/// `base_rps * (1 + A*sin(2πt/period)) * flash(t)`. `A < 1` keeps the
+/// rate strictly positive.
 #[derive(Debug, Clone, PartialEq)]
 pub struct TrafficModel {
     /// Mean global arrival rate, requests/second.
@@ -119,32 +106,19 @@ pub struct TrafficModel {
     pub diurnal_amplitude: f64,
     /// Diurnal period (one simulated "day"), seconds.
     pub period_s: f64,
-    /// Tenant mix; empty means one anonymous tenant at phase 0.
-    pub tenants: Vec<TenantStream>,
     /// Scheduled flash-crowd spikes.
     pub flashes: Vec<FlashCrowd>,
 }
 
 impl TrafficModel {
-    /// A single-tenant diurnal model with no flash crowds.
+    /// A diurnal model with no flash crowds.
     pub fn diurnal(base_rps: f64, amplitude: f64, period_s: f64) -> TrafficModel {
         TrafficModel {
             base_rps,
             diurnal_amplitude: amplitude,
             period_s,
-            tenants: Vec::new(),
             flashes: Vec::new(),
         }
-    }
-
-    /// Adds a tenant stream (builder style).
-    pub fn with_tenant(mut self, name: &str, share: f64, phase_s: f64) -> TrafficModel {
-        self.tenants.push(TenantStream {
-            name: name.to_owned(),
-            share,
-            phase_s,
-        });
-        self
     }
 
     /// Adds a flash-crowd spike (builder style).
@@ -161,8 +135,8 @@ impl TrafficModel {
     ///
     /// # Errors
     ///
-    /// [`ConfigError`] for a degenerate base rate, amplitude, period,
-    /// tenant share/phase, or flash window/multiplier.
+    /// [`ConfigError`] for a degenerate base rate, amplitude, period, or
+    /// flash window/multiplier.
     pub fn validate(&self) -> Result<(), ConfigError> {
         if !self.base_rps.is_finite() || self.base_rps <= 0.0 {
             return Err(ConfigError::InvalidTrafficRate(self.base_rps));
@@ -172,14 +146,6 @@ impl TrafficModel {
         }
         if !self.period_s.is_finite() || self.period_s <= 0.0 {
             return Err(ConfigError::InvalidTrafficPeriod(self.period_s));
-        }
-        for t in &self.tenants {
-            if !t.share.is_finite() || t.share <= 0.0 {
-                return Err(ConfigError::InvalidTenantShare(t.share));
-            }
-            if !t.phase_s.is_finite() {
-                return Err(ConfigError::InvalidTenantPhase(t.phase_s));
-            }
         }
         for fc in &self.flashes {
             if !fc.at_s.is_finite() || fc.at_s < 0.0 {
@@ -195,9 +161,9 @@ impl TrafficModel {
         Ok(())
     }
 
-    /// The largest rate [`TrafficModel::rate_at`] can return: every
-    /// tenant's diurnal factor is at most `1 + A`, and overlapping flash
-    /// crowds take the largest multiplier, never below 1.
+    /// The largest rate [`TrafficModel::rate_at`] can return: the
+    /// diurnal factor is at most `1 + A`, and overlapping flash crowds
+    /// take the largest multiplier, never below 1.
     fn peak_rps(&self) -> f64 {
         let flash = self
             .flashes
@@ -210,25 +176,14 @@ impl TrafficModel {
     /// Instantaneous global arrival rate at simulated time `t_s`.
     pub fn rate_at(&self, t_s: f64) -> f64 {
         let two_pi = 2.0 * std::f64::consts::PI;
-        let diurnal = |phase: f64| {
-            1.0 + self.diurnal_amplitude * (two_pi * (t_s + phase) / self.period_s).sin()
-        };
-        let shape = if self.tenants.is_empty() {
-            diurnal(0.0)
-        } else {
-            let total: f64 = self.tenants.iter().map(|t| t.share).sum();
-            self.tenants
-                .iter()
-                .map(|t| t.share / total * diurnal(t.phase_s))
-                .sum()
-        };
+        let diurnal = 1.0 + self.diurnal_amplitude * (two_pi * t_s / self.period_s).sin();
         let flash = self
             .flashes
             .iter()
             .filter(|f| t_s >= f.at_s && t_s < f.at_s + f.duration_s)
             .map(|f| f.multiplier)
             .fold(1.0f64, f64::max);
-        self.base_rps * shape * flash
+        self.base_rps * diurnal * flash
     }
 }
 
@@ -567,7 +522,10 @@ pub struct CellReport {
     pub good: u64,
     /// Requests permanently shed by the cell's own admission control.
     pub shed: u64,
-    /// Requests dropped at epoch-boundary queue drains.
+    /// Requests stranded when an epoch's event heap emptied (for
+    /// example, every server down). Each epoch runs until every
+    /// assigned request resolves, so an epoch boundary drops nothing
+    /// (ROADMAP item 4).
     pub dropped: u64,
     /// Requests permanently lost (in-cell server crashes plus
     /// cell-level outage/partition losses).
@@ -634,7 +592,8 @@ pub struct GlobalReport {
     /// Permanently shed: per-cell admission sheds plus geo-level
     /// no-capacity sheds (`lb_shed`).
     pub shed: u64,
-    /// Dropped at epoch-boundary queue drains.
+    /// Stranded when a cell epoch's event heap emptied; an epoch
+    /// boundary drops nothing (see [`CellReport::dropped`]).
     pub dropped: u64,
     /// Permanently lost to server crashes and cell-level faults.
     pub failed: u64,
@@ -1437,11 +1396,6 @@ mod tests {
             bad.validate(),
             Err(ConfigError::InvalidTrafficPeriod(_))
         ));
-        let bad = ok.clone().with_tenant("t", 0.0, 0.0);
-        assert!(matches!(
-            bad.validate(),
-            Err(ConfigError::InvalidTenantShare(_))
-        ));
         let bad = ok.clone().with_flash(0.0, 1.0, 0.0);
         assert!(matches!(
             bad.validate(),
@@ -1464,13 +1418,6 @@ mod tests {
         // Flash multiplies the diurnal rate inside its window only.
         assert!((tm.rate_at(205.0) - 3.0 * tm.rate_at(105.0)).abs() < 1e-6);
         assert!(tm.rate_at(211.0) < 1500.0);
-        // Tenant phases shift, never negate: rate stays positive.
-        let mix = TrafficModel::diurnal(1000.0, 0.9, 100.0)
-            .with_tenant("a", 2.0, 0.0)
-            .with_tenant("b", 1.0, 50.0);
-        for i in 0..200 {
-            assert!(mix.rate_at(i as f64) > 0.0);
-        }
     }
 
     #[test]

@@ -78,8 +78,7 @@ pub use des::{
 pub use faults::{FailoverConfig, FaultKind, FaultPlan, MtbfFaults, ScheduledFault};
 pub use fleet::{
     simulate_global, simulate_global_recorded, AutoscalerConfig, AutoscalerReport, Cell, CellFault,
-    CellFaultKind, CellReport, FlashCrowd, GeoPolicy, GlobalConfig, GlobalReport, TenantStream,
-    TrafficModel,
+    CellFaultKind, CellReport, FlashCrowd, GeoPolicy, GlobalConfig, GlobalReport, TrafficModel,
 };
 pub use genmodel::{GenerationModel, TokenDistribution};
 pub use latency::{GenLatencyModel, LatencyModel};

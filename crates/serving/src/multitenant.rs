@@ -12,6 +12,7 @@ use rand::{Rng, SeedableRng};
 
 use tpu_arch::ChipConfig;
 
+use crate::des::{validate_requests, ConfigError};
 use crate::latency::LatencyModel;
 use crate::stats::LatencyStats;
 
@@ -82,20 +83,53 @@ impl MultiTenantReport {
     }
 }
 
+/// Checks the tenant list and every knob of `cfg`, returning the first
+/// problem found.
+fn validate(tenants: &[Tenant], cfg: &MultiTenantConfig) -> Result<(), ConfigError> {
+    if tenants.is_empty() {
+        return Err(ConfigError::NoTenants);
+    }
+    if let Some(t) = tenants
+        .iter()
+        .find(|t| !t.arrival_rate_rps.is_finite() || t.arrival_rate_rps <= 0.0)
+    {
+        return Err(ConfigError::NonPositiveArrivalRate(t.arrival_rate_rps));
+    }
+    if cfg.max_batch == 0 {
+        return Err(ConfigError::ZeroMaxBatch);
+    }
+    if !cfg.batch_timeout_s.is_finite() || cfg.batch_timeout_s < 0.0 {
+        return Err(ConfigError::InvalidBatchTimeout(cfg.batch_timeout_s));
+    }
+    if !cfg.host_link_bps.is_finite() || cfg.host_link_bps <= 0.0 {
+        return Err(ConfigError::InvalidHostLinkBandwidth(cfg.host_link_bps));
+    }
+    validate_requests(cfg.requests)
+}
+
 /// Runs the multi-tenant serving simulation.
 ///
 /// Scheduling: when the chip is free, serve the tenant with the oldest
 /// queued request (FIFO across tenants, batching within a tenant). If
 /// the sum of weights exceeds HBM, tenants are kept resident LRU and a
 /// non-resident dispatch first pays `weights / host_link_bps`.
+///
+/// # Errors
+///
+/// [`ConfigError`] for an empty tenant list, a non-positive or
+/// non-finite tenant arrival rate, a zero batch cap, a negative or
+/// non-finite batch timeout, a non-positive or non-finite host-link
+/// bandwidth, or a request count of zero or past
+/// [`MAX_REQUESTS`](crate::des::MAX_REQUESTS).
 pub fn simulate_tenants(
     chip: &ChipConfig,
     tenants: &[Tenant],
     cfg: &MultiTenantConfig,
-) -> MultiTenantReport {
-    assert!(!tenants.is_empty(), "need at least one tenant");
-    let hbm = chip.hbm.capacity_bytes;
-    let total_weights: u64 = tenants.iter().map(|t| t.weight_bytes).sum();
+) -> Result<MultiTenantReport, ConfigError> {
+    validate(tenants, cfg)?;
+    // Byte sums are u128: no count of u64 footprints can overflow them.
+    let hbm = u128::from(chip.hbm.capacity_bytes);
+    let total_weights: u128 = tenants.iter().map(|t| u128::from(t.weight_bytes)).sum();
     let all_resident = total_weights <= hbm;
 
     // Pre-draw arrivals for each tenant, then merge.
@@ -106,7 +140,7 @@ pub fn simulate_tenants(
         let mut time = 0.0f64;
         for _ in 0..per_tenant_requests {
             let u: f64 = rng.gen_range(f64::EPSILON..1.0);
-            time += -u.ln() / t.arrival_rate_rps.max(1e-9);
+            time += -u.ln() / t.arrival_rate_rps;
             arrivals.push((time, ti));
         }
     }
@@ -114,7 +148,7 @@ pub fn simulate_tenants(
 
     // Residency: LRU set sized by capacity.
     let mut resident: Vec<usize> = Vec::new(); // most-recent last
-    let mut resident_bytes = 0u64;
+    let mut resident_bytes = 0u128;
 
     let mut queues: Vec<Vec<f64>> = vec![Vec::new(); tenants.len()];
     let mut next_arrival = 0usize;
@@ -166,9 +200,9 @@ pub fn simulate_tenants(
             let need = tenants[ti].weight_bytes;
             if !all_resident {
                 // Evict LRU until it fits, then pay the transfer.
-                while resident_bytes + need > hbm && !resident.is_empty() {
+                while resident_bytes + u128::from(need) > hbm && !resident.is_empty() {
                     let evicted = resident.remove(0);
-                    resident_bytes -= tenants[evicted].weight_bytes;
+                    resident_bytes -= u128::from(tenants[evicted].weight_bytes);
                 }
                 let cost = need as f64 / cfg.host_link_bps;
                 now += cost;
@@ -176,7 +210,7 @@ pub fn simulate_tenants(
                 swaps += 1;
             }
             resident.push(ti);
-            resident_bytes += need;
+            resident_bytes += u128::from(need);
         } else {
             // Refresh LRU position.
             resident.retain(|&x| x != ti);
@@ -191,7 +225,7 @@ pub fn simulate_tenants(
 
     let all: Vec<f64> = latencies.iter().flatten().copied().collect();
     let total = all.len();
-    MultiTenantReport {
+    Ok(MultiTenantReport {
         per_tenant: latencies
             .iter()
             .map(|l| LatencyStats::from_samples(l))
@@ -201,7 +235,7 @@ pub fn simulate_tenants(
         all_resident,
         swaps,
         swap_seconds,
-    }
+    })
 }
 
 #[cfg(test)]
@@ -229,7 +263,8 @@ mod tests {
             &chip,
             &[tenant("a", 1.0, 0.5, 500.0)],
             &MultiTenantConfig::default(),
-        );
+        )
+        .unwrap();
         assert!(r.all_resident);
         assert_eq!(r.swaps, 0);
         assert!(r.throughput_rps > 0.0);
@@ -242,7 +277,7 @@ mod tests {
         let tenants: Vec<Tenant> = (0..4)
             .map(|i| tenant(&format!("t{i}"), 1.0, 1.0, 300.0))
             .collect();
-        let r = simulate_tenants(&chip, &tenants, &MultiTenantConfig::default());
+        let r = simulate_tenants(&chip, &tenants, &MultiTenantConfig::default()).unwrap();
         assert!(r.all_resident);
         assert_eq!(r.swaps, 0);
         assert_eq!(r.swap_seconds, 0.0);
@@ -257,8 +292,8 @@ mod tests {
         let burst: Vec<Tenant> = (0..6)
             .map(|i| tenant(&format!("t{i}"), 1.0, 2.0, 150.0))
             .collect();
-        let r_fit = simulate_tenants(&chip, &fit, &MultiTenantConfig::default());
-        let r_burst = simulate_tenants(&chip, &burst, &MultiTenantConfig::default());
+        let r_fit = simulate_tenants(&chip, &fit, &MultiTenantConfig::default()).unwrap();
+        let r_burst = simulate_tenants(&chip, &burst, &MultiTenantConfig::default()).unwrap();
         assert!(r_fit.all_resident);
         assert!(!r_burst.all_resident);
         assert!(r_burst.swaps > 0);
@@ -277,8 +312,10 @@ mod tests {
         let tenants: Vec<Tenant> = (0..6)
             .map(|i| tenant(&format!("t{i}"), 1.0, 2.0, 150.0))
             .collect();
-        let small = simulate_tenants(&catalog::tpu_v4i(), &tenants, &MultiTenantConfig::default());
-        let big = simulate_tenants(&catalog::tpu_v3(), &tenants, &MultiTenantConfig::default());
+        let small =
+            simulate_tenants(&catalog::tpu_v4i(), &tenants, &MultiTenantConfig::default()).unwrap();
+        let big =
+            simulate_tenants(&catalog::tpu_v3(), &tenants, &MultiTenantConfig::default()).unwrap();
         assert!(!small.all_resident);
         assert!(big.all_resident);
         assert_eq!(big.swaps, 0);
@@ -291,7 +328,7 @@ mod tests {
         let tenants: Vec<Tenant> = (0..4)
             .map(|i| tenant(&format!("t{i}"), 1.0, 1.0, 200.0))
             .collect();
-        let r = simulate_tenants(&chip, &tenants, &MultiTenantConfig::default());
+        let r = simulate_tenants(&chip, &tenants, &MultiTenantConfig::default()).unwrap();
         let p99s: Vec<f64> = r.per_tenant.iter().map(|s| s.p99_s).collect();
         let max = p99s.iter().fold(0.0f64, |a, &b| a.max(b));
         let min = p99s.iter().fold(f64::MAX, |a, &b| a.min(b));
@@ -305,15 +342,59 @@ mod tests {
     fn deterministic_given_seed() {
         let chip = catalog::tpu_v4i();
         let tenants = vec![tenant("a", 1.0, 1.0, 400.0), tenant("b", 2.0, 1.0, 300.0)];
-        let a = simulate_tenants(&chip, &tenants, &MultiTenantConfig::default());
-        let b = simulate_tenants(&chip, &tenants, &MultiTenantConfig::default());
+        let a = simulate_tenants(&chip, &tenants, &MultiTenantConfig::default()).unwrap();
+        let b = simulate_tenants(&chip, &tenants, &MultiTenantConfig::default()).unwrap();
         assert_eq!(a.aggregate, b.aggregate);
         assert_eq!(a.swaps, b.swaps);
     }
 
     #[test]
-    #[should_panic(expected = "at least one tenant")]
-    fn empty_tenants_panics() {
-        simulate_tenants(&catalog::tpu_v4i(), &[], &MultiTenantConfig::default());
+    fn empty_tenants_is_a_typed_error() {
+        assert_eq!(
+            simulate_tenants(&catalog::tpu_v4i(), &[], &MultiTenantConfig::default()).unwrap_err(),
+            ConfigError::NoTenants
+        );
+    }
+
+    #[test]
+    fn degenerate_inputs_are_typed_errors() {
+        let chip = catalog::tpu_v4i();
+        let one = [tenant("a", 1.0, 0.5, 500.0)];
+        let run = |tenants: &[Tenant], edit: &dyn Fn(&mut MultiTenantConfig)| {
+            let mut cfg = MultiTenantConfig::default();
+            edit(&mut cfg);
+            simulate_tenants(&chip, tenants, &cfg)
+        };
+        let err = |tenants: &[Tenant], edit: &dyn Fn(&mut MultiTenantConfig)| {
+            run(tenants, edit).unwrap_err()
+        };
+        // A zero batch cap would dispatch empty batches forever.
+        assert_eq!(err(&one, &|c| c.max_batch = 0), ConfigError::ZeroMaxBatch);
+        assert!(matches!(
+            err(&one, &|c| c.batch_timeout_s = f64::NAN),
+            ConfigError::InvalidBatchTimeout(_)
+        ));
+        assert_eq!(err(&one, &|c| c.requests = 0), ConfigError::ZeroRequests);
+        // A zero bandwidth makes a swap take forever; a negative one
+        // runs time backwards.
+        for bps in [0.0, -1e9] {
+            assert_eq!(
+                err(&one, &|c| c.host_link_bps = bps),
+                ConfigError::InvalidHostLinkBandwidth(bps)
+            );
+        }
+        // A non-positive rate is rejected, not clamped.
+        assert_eq!(
+            err(&[tenant("a", 1.0, 0.5, -5.0)], &|_| {}),
+            ConfigError::NonPositiveArrivalRate(-5.0)
+        );
+        // Footprints whose sum overflows u64 are simply not resident.
+        let mut huge = [tenant("a", 1.0, 0.5, 500.0), tenant("b", 1.0, 0.5, 500.0)];
+        for t in &mut huge {
+            t.weight_bytes = u64::MAX / 2 + 1;
+        }
+        let r = run(&huge, &|c| c.requests = 200).unwrap();
+        assert!(!r.all_resident);
+        assert!(r.swaps > 0);
     }
 }

@@ -350,7 +350,7 @@ proptest! {
             })
             .collect();
         let cfg = MultiTenantConfig { requests, seed, ..MultiTenantConfig::default() };
-        let r = simulate_tenants(&chip, &tenants, &cfg);
+        let r = simulate_tenants(&chip, &tenants, &cfg).expect("valid tenant config");
 
         // Work conservation: each tenant receives exactly its share and
         // every injected request is answered.

@@ -116,29 +116,6 @@ impl Simulator {
         self.run_core(plan, true)
     }
 
-    /// Like [`Simulator::run_traced`], additionally streaming the trace
-    /// into `recorder` on the unified telemetry event model (one track
-    /// per `(resource, unit)`, one span per step) — the same recorder a
-    /// serving-fleet run feeds, so one Chrome-trace export can hold both
-    /// simulators' timelines. Telemetry stays derived-only: the report
-    /// and trace are identical to [`Simulator::run_traced`]'s.
-    ///
-    /// # Errors
-    ///
-    /// Same as [`Simulator::run`].
-    pub fn run_recorded(
-        &self,
-        plan: &StepPlan,
-        recorder: &mut tpu_telemetry::Recorder,
-    ) -> Result<(SimReport, Trace), SimError> {
-        let (report, trace) = self.run_core(plan, true)?;
-        for ev in trace.to_events() {
-            recorder.record(ev);
-        }
-        recorder.add_counter("sim_steps", trace.entries.len() as u64);
-        Ok((report, trace))
-    }
-
     /// Shared scheduling core. `want_trace` gates [`TraceEntry`]
     /// collection: an untraced [`Simulator::run`] (the sweep hot path)
     /// skips the per-step entry push, which is pure overhead when the

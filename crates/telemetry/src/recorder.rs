@@ -57,7 +57,7 @@ impl Default for Recorder {
 }
 
 impl Recorder {
-    /// A recorder with [`DEFAULT_CAPACITY`].
+    /// A recorder holding up to `DEFAULT_CAPACITY` (2^16) events.
     pub fn new() -> Self {
         Self::with_capacity(DEFAULT_CAPACITY)
     }

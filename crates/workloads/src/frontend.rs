@@ -1,8 +1,8 @@
 //! A deliberately naive frontend: re-emits a graph the way a sloppy
 //! model exporter would.
 //!
-//! Real serving binaries rarely receive the clean graphs [`zoo`]
-//! (crate::zoo) builds. Checkpoint converters flatten weights to 1-D
+//! Real serving binaries rarely receive the clean graphs
+//! [`zoo`](crate::zoo) builds. Checkpoint converters flatten weights to 1-D
 //! buffers and reshape them back at the use site, defensive exporters
 //! re-apply activations "just in case", and abandoned branches of the
 //! model linger in the proto. [`deoptimize`] reproduces exactly those

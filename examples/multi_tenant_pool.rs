@@ -41,7 +41,8 @@ fn main() {
                 arrival_rate_rps: 400.0,
             })
             .collect();
-        let report = simulate_tenants(&chip, &tenants, &MultiTenantConfig::default());
+        let report = simulate_tenants(&chip, &tenants, &MultiTenantConfig::default())
+            .expect("valid tenant config");
         println!(
             "{:>8} {:>13} {:>7} {:>14.2} {:>10.0}",
             n,

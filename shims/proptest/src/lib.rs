@@ -261,7 +261,7 @@ pub mod prop {
         use crate::{Strategy, TestRng};
         use std::ops::{Range, RangeInclusive};
 
-        /// Anything usable as a size specification for [`vec`].
+        /// Anything usable as a size specification for [`vec()`].
         pub trait SizeRange {
             /// `(min, max_exclusive)` bounds.
             fn bounds(&self) -> (usize, usize);
@@ -294,7 +294,7 @@ pub mod prop {
             VecStrategy { element, min, max }
         }
 
-        /// Output of [`vec`].
+        /// Output of [`vec()`].
         #[derive(Debug, Clone)]
         pub struct VecStrategy<S> {
             element: S,

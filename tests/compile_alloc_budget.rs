@@ -8,7 +8,11 @@
 //! dependents as one offsets array plus one flat list, so the path
 //! makes a few dozen allocations per compile whatever the graph's size.
 //! The first test pins that count: a per-node or per-step allocation
-//! that creeps back in fails here.
+//! that creeps back in fails here. It also pins the sweep's total input
+//! graph nodes, plan steps and VLIW bundles exactly. These are the units
+//! perfbench divides `hlo.compile`, `sim.run` and `isa.roundtrip` time
+//! by, so a lowering change that inflates plans fails here instead of
+//! silently moving those rates.
 //!
 //! The second test runs the serving engines on five fixed configs and
 //! pins each run's `events_processed` exactly and its allocations to
@@ -44,6 +48,12 @@ const MEASURED_PER_COMPILE: f64 = 59.7;
 
 /// The measured mean plus 25% headroom: 74.6 allocations per compile.
 const BUDGET_PER_COMPILE: f64 = MEASURED_PER_COMPILE * 1.25;
+
+/// Input graph nodes, plan steps and VLIW bundles summed over the 80
+/// compiles of the sweep below; the same in debug and release builds.
+const SWEEP_NODES: usize = 15_885;
+const SWEEP_STEPS: usize = 45_098;
+const SWEEP_BUNDLES: usize = 23_878;
 
 struct CountingAlloc;
 
@@ -103,41 +113,61 @@ fn allocations_in<T>(f: impl FnOnce() -> T) -> (T, u64) {
 fn compile_path_stays_within_its_allocation_budget() {
     let chip = catalog::tpu_v4i();
     let options = CompilerOptions::for_chip(&chip);
+    // Returns the simulated seconds and the graph's node, plan step and
+    // bundle counts.
     let simulate = |graph: &tpugen::hlo::Graph| {
         let exe =
             compile(graph, &chip, &options).unwrap_or_else(|e| panic!("{}: {e}", graph.name()));
-        Simulator::new(chip.clone())
+        let seconds = Simulator::new(chip.clone())
             .run(exe.plan())
             .unwrap_or_else(|e| panic!("{}: {e}", graph.name()))
-            .seconds
+            .seconds;
+        (
+            seconds,
+            [graph.nodes().len(), exe.plan().len(), exe.program().len()],
+        )
     };
 
     let (mut compiles, mut allocations) = (0u64, 0u64);
+    let mut work = [0usize; 3];
+    let mut tally = |(seconds, counts): (f64, [usize; 3]), n: u64, what: &str| {
+        assert!(seconds > 0.0, "{what}");
+        compiles += 1;
+        allocations += n;
+        for (total, count) in work.iter_mut().zip(counts) {
+            *total += count;
+        }
+    };
     for app in production_apps() {
         for &batch in &DEFAULT_BATCHES {
-            let (seconds, n) =
-                allocations_in(|| simulate(&app.build(batch).expect("zoo apps build")));
-            assert!(seconds > 0.0, "{} at batch {batch}", app.spec.name);
-            compiles += 1;
-            allocations += n;
+            let (run, n) = allocations_in(|| simulate(&app.build(batch).expect("zoo apps build")));
+            tally(run, n, &format!("{} at batch {batch}", app.spec.name));
         }
         // The Lesson 2 recompile: a naive frontend's graph makes every
         // pass rewrite.
-        let (seconds, n) = allocations_in(|| {
+        let (run, n) = allocations_in(|| {
             let clean = app.build(4).expect("zoo apps build");
             simulate(&frontend::deoptimize(&clean).expect("deoptimizes"))
         });
-        assert!(seconds > 0.0, "{} deoptimized", app.spec.name);
-        compiles += 1;
-        allocations += n;
+        tally(run, n, &format!("{} deoptimized", app.spec.name));
     }
 
     let mean = allocations as f64 / compiles as f64;
-    eprintln!("{compiles} compiles, {mean:.1} allocations per compile");
+    let [nodes, steps, bundles] = work;
+    eprintln!(
+        "{compiles} compiles, {mean:.1} allocations per compile; \
+         {nodes} nodes, {steps} steps, {bundles} bundles"
+    );
     assert!(
         mean <= BUDGET_PER_COMPILE,
         "{mean:.1} allocations per build + compile + simulate, over the budget of \
          {BUDGET_PER_COMPILE:.1} ({MEASURED_PER_COMPILE} measured + 25%)"
+    );
+    assert_eq!(compiles, 80);
+    assert_eq!(
+        work,
+        [SWEEP_NODES, SWEEP_STEPS, SWEEP_BUNDLES],
+        "input graph nodes, plan steps and VLIW bundles over the sweep"
     );
 }
 
