@@ -4,7 +4,7 @@
 //! `(duration, energy)` pair for a given [`ChipConfig`]. The engine layers
 //! resource contention on top.
 
-use tpu_arch::{ChipConfig, MemLevel};
+use tpu_arch::{ChipConfig, EnergyTable, MemLevel};
 use tpu_numerics::DType;
 
 /// Cost of executing one step in isolation.
@@ -23,12 +23,25 @@ pub struct StepCost {
 #[derive(Debug, Clone)]
 pub struct Machine {
     chip: ChipConfig,
+    /// The chip's process-node energy table.
+    energy: EnergyTable,
+    /// `1 / clock_hz`.
+    cycle_seconds: f64,
+    /// Whether int8 is a native MXU type (it then streams at
+    /// `int8_speedup`).
+    int8_native: bool,
 }
 
 impl Machine {
-    /// Wraps a chip configuration.
+    /// Wraps a chip configuration, computing once the per-chip constants
+    /// every step's cost reads.
     pub fn new(chip: ChipConfig) -> Machine {
-        Machine { chip }
+        Machine {
+            energy: chip.node.energy(),
+            cycle_seconds: 1.0 / chip.clock_hz,
+            int8_native: chip.native_types.contains(&DType::Int8),
+            chip,
+        }
     }
 
     /// The wrapped configuration.
@@ -38,7 +51,7 @@ impl Machine {
 
     /// Cycle time in seconds.
     pub fn cycle_seconds(&self) -> f64 {
-        1.0 / self.chip.clock_hz
+        self.cycle_seconds
     }
 
     /// MXU cycles for a `rows x inner @ inner x cols` tile group.
@@ -60,7 +73,7 @@ impl Machine {
     ) -> f64 {
         let d = self.chip.mxu_dim as u64;
         let tiles = inner.div_ceil(d) * cols.div_ceil(d);
-        let speed = if dtype == DType::Int8 && self.chip.native_types.contains(&DType::Int8) {
+        let speed = if dtype == DType::Int8 && self.int8_native {
             self.chip.int8_speedup
         } else {
             1.0
@@ -79,10 +92,10 @@ impl Machine {
     /// Duration and energy of a step kind, ignoring contention.
     pub fn step_cost(&self, kind: &crate::plan::StepKind) -> StepCost {
         use crate::plan::StepKind;
-        let e = self.chip.node.energy();
+        let e = &self.energy;
         match *kind {
             StepKind::DmaIn { from, bytes } | StepKind::DmaOut { to: from, bytes } => {
-                let spec = self.chip.mem(from).copied().unwrap_or(self.chip.hbm);
+                let spec = self.chip.mem(from).unwrap_or(&self.chip.hbm);
                 let channel_seconds = bytes as f64 / spec.bandwidth_bps;
                 let unit_seconds = spec.latency_ns * 1e-9 + channel_seconds;
                 // Energy: source/destination channel plus the VMEM side.
@@ -109,7 +122,7 @@ impl Machine {
                     _ => e.mac_bf16_pj,
                 };
                 StepCost {
-                    unit_seconds: cycles * self.cycle_seconds(),
+                    unit_seconds: cycles * self.cycle_seconds,
                     channel_seconds: 0.0,
                     energy_joules: macs * pj * 1e-12,
                 }
@@ -123,7 +136,7 @@ impl Machine {
                 let cycles = ops / throughput;
                 // A VPU ALU op costs roughly a third of an fp32 MAC.
                 StepCost {
-                    unit_seconds: cycles * self.cycle_seconds(),
+                    unit_seconds: cycles * self.cycle_seconds,
                     channel_seconds: 0.0,
                     energy_joules: ops * (e.mac_fp32_pj / 3.0) * 1e-12,
                 }
