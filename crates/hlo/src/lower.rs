@@ -59,14 +59,49 @@ pub fn lower(
     for (id, root) in fusion.entries() {
         *fused_ops[root.index()].get_or_insert(0) += graph.node_flops(graph.node(id));
     }
+    let accum_emulate = needs_accum_emulation(chip, options.bit_exact_with);
+
+    // Dead-code elimination: only nodes reachable from the outputs emit
+    // steps (XLA always DCEs; an unused parameter must not cost a DMA).
+    let live = reachable_from_outputs(graph);
+    // Reserve an upper bound on what the loop below emits, so the plan
+    // and program never regrow: each node's steps and bundles, plus one
+    // spill-out and one reload per operand read in case values spill.
+    let (mut steps, mut bundles) = (graph.outputs().len(), graph.outputs().len() + 2);
+    for node in graph.nodes() {
+        if !live[node.id.index()] || fusion.is_fused(node.id) {
+            continue;
+        }
+        let fused = usize::from(fused_ops[node.id.index()].is_some());
+        let (s, b) = match matmul_weights(graph, node) {
+            // Per chunk, the weight tile (or its reload), the compute and
+            // maybe a merge; the tile loop's three bundles, and a reload's
+            // bundle per chunk unless the weights are a constant.
+            Some((weights, cols)) => {
+                let (_, chunks) = column_tiling(chip, memory, cols);
+                let chunks = chunks as usize;
+                let per_chunk = 2 + usize::from(accum_emulate);
+                let reloads = match graph.node(weights).op {
+                    HloOp::Constant => 0,
+                    _ => chunks,
+                };
+                (chunks * per_chunk + fused, 3 + fused + reloads)
+            }
+            None if matches!(node.op, HloOp::Constant | HloOp::Reshape { .. }) => continue,
+            None => (1, 1),
+        };
+        let spills = 1 + node.op.operands().len();
+        steps += s + spills;
+        bundles += b + spills;
+    }
     let mut ctx = Ctx {
         graph,
         chip,
         fusion,
         memory,
         options,
-        plan: StepPlan::new(graph.name()),
-        program: Program::new(chip.generation),
+        plan: StepPlan::with_capacity(graph.name(), steps, 2 * steps),
+        program: Program::with_capacity(chip.generation, bundles),
         produced: vec![(0, 0); n],
         produced_steps: Vec::new(),
         deps: Vec::new(),
@@ -75,12 +110,9 @@ pub fn lower(
         last_use: liveness::last_uses(graph),
         fused_ops,
         next_mxu: 0,
-        accum_emulate: needs_accum_emulation(chip, options.bit_exact_with),
+        accum_emulate,
     };
 
-    // Dead-code elimination: only nodes reachable from the outputs emit
-    // steps (XLA always DCEs; an unused parameter must not cost a DMA).
-    let live = reachable_from_outputs(graph);
     for node in graph.nodes() {
         if !live[node.id.index()] {
             continue;
@@ -118,6 +150,10 @@ pub fn lower(
     ctx.program
         .push(Bundle::new().scalar(ScalarOp::SyncDma { queue: 1 }));
     ctx.program.push(Bundle::new().scalar(ScalarOp::Halt));
+    debug_assert!(
+        ctx.plan.len() <= steps && ctx.program.len() <= bundles,
+        "lowering emitted past the bound it reserved"
+    );
 
     Lowered {
         plan: ctx.plan,
@@ -138,6 +174,30 @@ fn reachable_from_outputs(graph: &Graph) -> Vec<bool> {
         stack.extend(graph.node(id).op.operands());
     }
     live
+}
+
+/// A matrix op's weight operand and output columns (`None` for every
+/// other op).
+fn matmul_weights(graph: &Graph, node: &Node) -> Option<(OpId, u64)> {
+    match node.op {
+        HloOp::Dot { rhs, .. } => Some((rhs, graph.node(rhs).shape.trailing())),
+        HloOp::Conv2d { kernel, .. } => Some((kernel, graph.node(kernel).shape.dims()[3])),
+        HloOp::BatchMatmul { b, n, .. } => Some((b, n)),
+        _ => None,
+    }
+}
+
+/// A matmul's output-column tiling: `(tile width, chunks)`. The width is
+/// bounded by the VMEM working set (memory plan) and split across the
+/// MXU pool so independent output-column chunks run on different MXUs,
+/// as XLA does.
+fn column_tiling(chip: &ChipConfig, memory: &MemoryPlan, cols: u64) -> (u64, u64) {
+    let d = chip.mxu_dim as u64;
+    let pool = (chip.mxus_per_core * chip.cores).max(1) as u64;
+    let target_chunks = pool.min(cols.div_ceil(d)).max(1);
+    let per_mxu = cols.div_ceil(target_chunks).div_ceil(d) * d;
+    let col_tile = memory.col_tile.min(cols.max(1)).min(per_mxu.max(d));
+    (col_tile, cols.div_ceil(col_tile).max(1))
 }
 
 /// Whether bit-exactly reproducing `compat`'s accumulation order on
@@ -423,16 +483,8 @@ impl Ctx<'_> {
         self.produced_steps.extend_from_slice(&self.deps);
         let act_end = self.produced_steps.len();
 
-        // Column tiling: bounded by the VMEM working set (memory plan)
-        // and split across the MXU pool so independent output-column
-        // chunks run on different MXUs, as XLA does.
         let d = self.chip.mxu_dim as u64;
-        let pool = (self.chip.mxus_per_core * self.chip.cores).max(1) as u64;
-        let mut col_tile = self.memory.col_tile.min(cols.max(1));
-        let target_chunks = pool.min(cols.div_ceil(d)).max(1);
-        let per_mxu = cols.div_ceil(target_chunks).div_ceil(d) * d;
-        col_tile = col_tile.min(per_mxu.max(d));
-        let chunks = cols.div_ceil(col_tile).max(1);
+        let (col_tile, chunks) = column_tiling(self.chip, self.memory, cols);
 
         let mxu = self.pick_mxu();
         let mut prev_compute: Option<StepId> = None;

@@ -168,7 +168,8 @@ impl TensorShape {
 
     /// Total element count.
     pub fn elements(&self) -> u64 {
-        self.dims().iter().product()
+        // The zeros past the rank count as 1: no scan for the rank.
+        self.dims.iter().map(|&d| d.max(1)).product()
     }
 
     /// Storage size in bytes at the given precision.

@@ -300,7 +300,7 @@ impl Verifier {
     ) -> Result<(), VerifyError> {
         let count = graph.nodes().len();
         let mut actual = 0u64;
-        for id in plan.residents() {
+        for &id in plan.residents() {
             let Some(node) = graph.get(id) else {
                 return Err(VerifyError::ResidentDangling { id, nodes: count });
             };

@@ -331,17 +331,39 @@ pub fn decode(bytes: &[u8], generation: Generation) -> Result<Program, DecodeErr
     Ok(p)
 }
 
-/// Checks one bundle's encodability without building a whole program
-/// (used by [`Program::verify`]).
-pub(crate) fn encode_bundle_for_verify(
-    b: &Bundle,
-    spec: &EncodingSpec,
-    out: &mut Vec<u8>,
-) -> Result<(), EncodeError> {
-    encode_bundle(b, spec, out)
+/// Where the encoder writes bytes: a buffer, or nowhere when only its
+/// legality checks are wanted.
+trait Sink {
+    fn push(&mut self, byte: u8);
+    fn extend_from_slice(&mut self, bytes: &[u8]);
 }
 
-fn encode_bundle(b: &Bundle, spec: &EncodingSpec, out: &mut Vec<u8>) -> Result<(), EncodeError> {
+impl Sink for Vec<u8> {
+    fn push(&mut self, byte: u8) {
+        Vec::push(self, byte);
+    }
+
+    fn extend_from_slice(&mut self, bytes: &[u8]) {
+        Vec::extend_from_slice(self, bytes);
+    }
+}
+
+/// Drops every byte: the encoder runs its checks and writes nothing.
+struct Discard;
+
+impl Sink for Discard {
+    fn push(&mut self, _: u8) {}
+
+    fn extend_from_slice(&mut self, _: &[u8]) {}
+}
+
+/// Checks one bundle's encodability, running the encoder's own checks
+/// without writing its bytes (used by [`Program::verify`]).
+pub(crate) fn check_bundle(b: &Bundle, spec: &EncodingSpec) -> Result<(), EncodeError> {
+    encode_bundle(b, spec, &mut Discard)
+}
+
+fn encode_bundle(b: &Bundle, spec: &EncodingSpec, out: &mut impl Sink) -> Result<(), EncodeError> {
     let mut flags = 0u8;
     if b.scalar != ScalarOp::Nop {
         flags |= F_SCALAR;
@@ -449,7 +471,11 @@ fn check_vreg(r: VReg, spec: &EncodingSpec) -> Result<u8, EncodeError> {
     }
 }
 
-fn encode_scalar(op: &ScalarOp, spec: &EncodingSpec, out: &mut Vec<u8>) -> Result<(), EncodeError> {
+fn encode_scalar(
+    op: &ScalarOp,
+    spec: &EncodingSpec,
+    out: &mut impl Sink,
+) -> Result<(), EncodeError> {
     let base = spec.opcode_base;
     match *op {
         ScalarOp::Nop => out.push(base),
@@ -534,7 +560,11 @@ fn decode_scalar(r: &mut Reader<'_>, spec: &EncodingSpec) -> Result<ScalarOp, De
     })
 }
 
-fn encode_vector(op: &VectorOp, spec: &EncodingSpec, out: &mut Vec<u8>) -> Result<(), EncodeError> {
+fn encode_vector(
+    op: &VectorOp,
+    spec: &EncodingSpec,
+    out: &mut impl Sink,
+) -> Result<(), EncodeError> {
     let base = spec.opcode_base;
     match *op {
         VectorOp::Nop => out.push(base),
@@ -639,7 +669,7 @@ fn decode_vector(r: &mut Reader<'_>, spec: &EncodingSpec) -> Result<VectorOp, De
     })
 }
 
-fn encode_mxu(op: &MxuOp, spec: &EncodingSpec, out: &mut Vec<u8>) -> Result<(), EncodeError> {
+fn encode_mxu(op: &MxuOp, spec: &EncodingSpec, out: &mut impl Sink) -> Result<(), EncodeError> {
     let base = spec.opcode_base;
     let check = |mxu: u8| -> Result<u8, EncodeError> {
         if mxu > spec.mxu_max {
@@ -687,7 +717,7 @@ fn decode_mxu(r: &mut Reader<'_>, spec: &EncodingSpec) -> Result<MxuOp, DecodeEr
     })
 }
 
-fn encode_xpose(op: &XposeOp, spec: &EncodingSpec, out: &mut Vec<u8>) -> Result<(), EncodeError> {
+fn encode_xpose(op: &XposeOp, spec: &EncodingSpec, out: &mut impl Sink) -> Result<(), EncodeError> {
     let base = spec.opcode_base;
     match *op {
         XposeOp::Nop => out.push(base),
@@ -751,7 +781,7 @@ fn mem_level_from(code: u8) -> Option<MemLevel> {
     }
 }
 
-fn encode_dma(op: &DmaOp, spec: &EncodingSpec, out: &mut Vec<u8>) -> Result<(), EncodeError> {
+fn encode_dma(op: &DmaOp, spec: &EncodingSpec, out: &mut impl Sink) -> Result<(), EncodeError> {
     let base = spec.opcode_base;
     match *op {
         DmaOp::Nop => out.push(base),

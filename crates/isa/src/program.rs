@@ -97,9 +97,14 @@ impl ProgramStats {
 impl Program {
     /// Creates an empty program for a generation.
     pub fn new(generation: Generation) -> Program {
+        Program::with_capacity(generation, 0)
+    }
+
+    /// An empty program with room for `bundles` bundles.
+    pub fn with_capacity(generation: Generation, bundles: usize) -> Program {
         Program {
             generation,
-            bundles: Vec::new(),
+            bundles: Vec::with_capacity(bundles),
         }
     }
 
@@ -137,12 +142,9 @@ impl Program {
     pub fn verify(&self) -> Result<(), VerifyError> {
         let spec = EncodingSpec::for_generation(self.generation);
         let mut loaded = [false; 256];
-        // Reuse the encoder's legality logic one bundle at a time, into
-        // one buffer.
-        let mut scratch = Vec::new();
+        // Reuse the encoder's legality logic one bundle at a time.
         for (index, b) in self.bundles.iter().enumerate() {
-            scratch.clear();
-            if let Err(reason) = crate::encoding::encode_bundle_for_verify(b, &spec, &mut scratch) {
+            if let Err(reason) = crate::encoding::check_bundle(b, &spec) {
                 return Err(VerifyError::IllegalBundle { index, reason });
             }
             if let ScalarOp::LoopEnd { offset, .. } = b.scalar {

@@ -136,6 +136,18 @@ impl StepPlan {
         }
     }
 
+    /// Creates an empty plan with room for `steps` steps and `deps`
+    /// dependency edges, so a builder that knows its plan's size does
+    /// not regrow it step by step.
+    pub fn with_capacity(name: &str, steps: usize, deps: usize) -> StepPlan {
+        StepPlan {
+            name: name.to_owned(),
+            steps: Vec::with_capacity(steps),
+            deps: Vec::with_capacity(deps),
+            dep_ends: Vec::with_capacity(steps),
+        }
+    }
+
     /// The plan's name.
     pub fn name(&self) -> &str {
         &self.name
@@ -158,10 +170,10 @@ impl StepPlan {
     /// Panics if any dependency id has not been pushed yet.
     pub fn push_tagged(&mut self, kind: StepKind, deps: &[StepId], tag: &'static str) -> StepId {
         let id = StepId(self.steps.len() as u32);
-        for d in deps {
+        for &d in deps {
             assert!(d.0 < id.0, "dependency {d} of step {id} does not exist yet");
+            self.deps.push(d);
         }
-        self.deps.extend_from_slice(deps);
         self.push_step(id, kind, tag);
         id
     }
