@@ -14,7 +14,13 @@
 //! by, so a lowering change that inflates plans fails here instead of
 //! silently moving those rates.
 //!
-//! The second test runs the serving engines on five fixed configs and
+//! The second test covers the rest of the compile → simulate stack: the
+//! profiling sweep `ProfiledApp::new` runs for zoo-compile (5 TPU
+//! generations x 8 zoo apps x 9 knots). It pins the sweep's profiles,
+//! knots and plan steps exactly, and caps the allocations of each
+//! profile and of each `Simulator::run` at the measured count plus 25%.
+//!
+//! The third test runs the serving engines on five fixed configs and
 //! pins each run's `events_processed` exactly and its allocations to
 //! the measured count plus 25%. Both counts are deterministic, so they
 //! hold on any host, where a wall-clock gate cannot: a per-request
@@ -29,6 +35,7 @@ use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 
 use tpugen::arch::catalog;
+use tpugen::core::ProfiledApp;
 use tpugen::hlo::{compile, CompilerOptions};
 use tpugen::serving::des::{
     simulate, simulate_fleet, simulate_fleet_with_faults, simulate_generation, BatchingMode,
@@ -54,6 +61,20 @@ const BUDGET_PER_COMPILE: f64 = MEASURED_PER_COMPILE * 1.25;
 const SWEEP_NODES: usize = 15_885;
 const SWEEP_STEPS: usize = 45_098;
 const SWEEP_BUNDLES: usize = 23_878;
+
+/// Mean allocations per `ProfiledApp::new` and per `Simulator::run`
+/// over the profiling sweep below, measured when the caps were set.
+/// Before the compile path stopped regrowing its plans and the unit
+/// pools became tournament trees (a second array per pool), the same
+/// sweep made 422.9 and 12.0.
+const MEASURED_PER_PROFILE: f64 = 408.1;
+const MEASURED_PER_SIM_RUN: f64 = 16.0;
+
+/// The profiling sweep: `ProfiledApp::new` calls, latency-model knots,
+/// and the plan steps of the knots' compiles.
+const SWEEP_PROFILES: usize = 40;
+const SWEEP_KNOTS: usize = 360;
+const SWEEP_KNOT_STEPS: usize = 218_174;
 
 struct CountingAlloc;
 
@@ -169,6 +190,57 @@ fn compile_path_stays_within_its_allocation_budget() {
         [SWEEP_NODES, SWEEP_STEPS, SWEEP_BUNDLES],
         "input graph nodes, plan steps and VLIW bundles over the sweep"
     );
+}
+
+#[test]
+fn profiling_sweep_keeps_its_work_counts() {
+    let (mut profiles, mut knots, mut steps, mut runs) = (0usize, 0usize, 0usize, 0usize);
+    let (mut profile_allocations, mut run_allocations) = (0u64, 0u64);
+    for chip in catalog::tpu_generations() {
+        let options = CompilerOptions::for_chip(&chip);
+        let sim = Simulator::new(chip.clone());
+        for app in production_apps() {
+            let what = format!("{} on {}", app.spec.name, chip.name);
+            let (profiled, n) = allocations_in(|| ProfiledApp::new(&app, &chip, &options));
+            let profiled = profiled.unwrap_or_else(|e| panic!("{what}: {e}"));
+            profiles += 1;
+            profile_allocations += n;
+            knots += profiled.latency_model().points().len();
+            // The knots, compiled as `LatencyModel::profile` compiles them.
+            for &batch in &DEFAULT_BATCHES {
+                let graph = app.build(batch).expect("zoo apps build");
+                let exe =
+                    compile(&graph, &chip, &options).unwrap_or_else(|e| panic!("{what}: {e}"));
+                steps += exe.plan().len();
+                let (report, n) = allocations_in(|| sim.run(exe.plan()));
+                report.unwrap_or_else(|e| panic!("{what}: {e}"));
+                runs += 1;
+                run_allocations += n;
+            }
+        }
+    }
+
+    let per_profile = profile_allocations as f64 / profiles as f64;
+    let per_run = run_allocations as f64 / runs as f64;
+    eprintln!(
+        "{profiles} profiles, {knots} knots, {steps} knot steps; \
+         {per_profile:.1} allocations per ProfiledApp::new, {per_run:.1} per Simulator::run"
+    );
+    assert_eq!(
+        (profiles, knots, steps),
+        (SWEEP_PROFILES, SWEEP_KNOTS, SWEEP_KNOT_STEPS),
+        "profiles, knots and knot plan steps over the sweep"
+    );
+    for (what, mean, measured) in [
+        ("ProfiledApp::new", per_profile, MEASURED_PER_PROFILE),
+        ("Simulator::run", per_run, MEASURED_PER_SIM_RUN),
+    ] {
+        assert!(
+            mean <= measured * 1.25,
+            "{mean:.1} allocations per {what}, over the cap of {:.1} ({measured} measured + 25%)",
+            measured * 1.25
+        );
+    }
 }
 
 /// The overloaded single-server fleet config: expiry shedding on an
