@@ -178,6 +178,11 @@ const GEN_TOKEN_SALT: u64 = 0xA076_1D64_78BD_642F;
 /// min-heap of `(finish step, index)` over the members past their first
 /// token yields, at each step end, exactly the members finishing then,
 /// in admission order.
+///
+/// Most step ends are *quiet*: no member finishes, none takes its first
+/// token, and nobody can join. Such an end only launches an identical
+/// next step, so a run of them ends in one loop ([`GenEngine::quiet_run`])
+/// that stops short of the next arrival and the next finish step.
 struct GenEngine<'a, S: EventSink> {
     sink: S,
     lat: &'a GenLatencyModel,
@@ -211,9 +216,10 @@ struct GenEngine<'a, S: EventSink> {
     live: u64,
     /// Static batching: the in-flight batch is `batch_first..next_admit`.
     batch_first: usize,
-    /// `(finish step, request)` of every live member past its first
-    /// token; at most `max_batch` entries.
-    finishing: BinaryHeap<Reverse<(u64, u32)>>,
+    /// `finish step << 32 | request` of every live member past its
+    /// first token, a min-heap ordered as the pair `(finish step,
+    /// request)`; at most `max_batch` entries.
+    finishing: BinaryHeap<Reverse<u128>>,
     /// Members the ending step completed, in completion order. Under
     /// continuous batching their residency spans close after all of the
     /// step's token events, so they are kept until then.
@@ -240,11 +246,15 @@ impl<'a, S: EventSink> GenEngine<'a, S> {
     fn new(lat: &'a GenLatencyModel, cfg: &GenConfig, sink: S) -> GenEngine<'a, S> {
         let n = cfg.requests;
         let mut token_rng = StdRng::seed_from_u64(cfg.seed ^ GEN_TOKEN_SALT);
+        let (prompt_draw, output_draw) = (cfg.model.prompt.sampler(), cfg.model.output.sampler());
         let mut prompt = Vec::with_capacity(n);
         let mut output = Vec::with_capacity(n);
         let mut kv_need = Vec::with_capacity(n);
         for _ in 0..n {
-            let (p, o) = cfg.model.sample(&mut token_rng);
+            // Prompt, then output, per request: the stream
+            // `GenerationModel::sample` draws.
+            let p = prompt_draw.sample(&mut token_rng);
+            let o = output_draw.sample(&mut token_rng);
             prompt.push(p);
             output.push(o);
             kv_need.push(cfg.model.request_kv_bytes(p, o));
@@ -383,10 +393,16 @@ impl<'a, S: EventSink> GenEngine<'a, S> {
             return; // Idle; the next arrival restarts the loop.
         }
         let b = self.batch_len;
-        let step = prefill + self.decode_step(b);
-        self.steps += 1;
-        self.metrics.decode_steps.inc();
         self.metrics.decode_batch.observe(b as f64);
+        self.launch(now, b, prefill + self.decode_step(b));
+    }
+
+    /// Launches decode step number `steps + 1` at `now`: `b` slots for
+    /// `step` seconds. The caller observes `b` into `decode_batch`;
+    /// `decode_steps` is the final `steps`.
+    #[inline(always)]
+    fn launch(&mut self, now: f64, b: u64, step: f64) -> f64 {
+        self.steps += 1;
         self.metrics.per_server_busy_s[0] += step;
         self.emit(
             now,
@@ -396,7 +412,69 @@ impl<'a, S: EventSink> GenEngine<'a, S> {
             self.steps,
             b as i64,
         );
-        self.step_end = Some(now + step);
+        let end = now + step;
+        self.step_end = Some(end);
+        end
+    }
+
+    /// Whether the in-flight step's end is quiet: no member finishes at
+    /// it, it stamps no first token, and nobody can join the next step
+    /// (a static batch admits only once it retires, which needs a
+    /// finish; a continuous one when it has a free slot and a waiter,
+    /// whose admission or KV deferral is not quiet).
+    #[inline(always)]
+    fn quiet(&self) -> bool {
+        let finishing_now = self
+            .finishing
+            .peek()
+            .is_some_and(|&Reverse(key)| (key >> 32) as u64 == self.steps);
+        !finishing_now
+            && self.step_first == self.next_admit
+            && match self.cfg.mode {
+                BatchingMode::Static => true,
+                BatchingMode::Continuous => {
+                    self.batch_len == self.cfg.max_batch || self.next_admit == self.next_arrival
+                }
+            }
+    }
+
+    /// Ends the quiet in-flight step at `now` and every quiet step after
+    /// it. A quiet end adds `live` tokens and launches an identical
+    /// step: the same `b`, no prefill. The run leaves in flight the first
+    /// step that ends at or after the next arrival (arrivals win ties, so
+    /// the arrival is handled first) or at the next finish step, for
+    /// [`GenEngine::step_done`] to end. Each ended step counts one event
+    /// and one launch, and the launches add their durations to the step
+    /// end and the busy time one at a time, in order, so every sum is
+    /// bit-identical to ending the steps one by one.
+    fn quiet_run(&mut self, now: f64) {
+        let b = self.batch_len;
+        let step = self.decode_step(b);
+        let next_finish = self
+            .finishing
+            .peek()
+            .map_or(u64::MAX, |&Reverse(key)| (key >> 32) as u64);
+        // Arrivals are finite, so no step end reaches the sentinel.
+        let next_arrival = self
+            .arrivals
+            .get(self.next_arrival)
+            .copied()
+            .unwrap_or(f64::INFINITY);
+        let mut end = now;
+        let mut k = 0;
+        loop {
+            k += 1;
+            end = self.launch(end, b, step);
+            debug_assert!(self.steps <= next_finish, "quiet run passed a finish step");
+            if next_arrival <= end || self.steps == next_finish {
+                break;
+            }
+        }
+        // The run ended `k` steps: the one `run` counted, and `k - 1`
+        // more.
+        self.metrics.events_processed.add(k - 1);
+        self.metrics.tokens_generated.add(k * self.live);
+        self.metrics.decode_batch.observe_repeat(b as f64, k);
     }
 
     /// Decode latency for an in-range batch size from the precomputed
@@ -413,25 +491,31 @@ impl<'a, S: EventSink> GenEngine<'a, S> {
     /// Decode step number `self.steps` just ended: every live member
     /// emits a token, the members finishing now complete, finished
     /// members retire per the batching mode, and the next step (plus any
-    /// admissions) launches.
+    /// admissions) launches. A quiet end hands over to
+    /// [`GenEngine::quiet_run`].
     ///
     /// Events come in member admission order: the older members
     /// finishing now (popped by index), then each member this step
     /// admitted with its first token and, for one-token outputs, its
     /// completion.
     fn step_done(&mut self, now: f64) {
+        if self.quiet() {
+            self.quiet_run(now);
+            return;
+        }
         self.step_end = None;
         let step = self.steps;
         // Only the end-of-run value of this counter is observable, so
         // one add stands for every member's token.
         self.metrics.tokens_generated.add(self.live);
-        while let Some(&Reverse((finish, r))) = self.finishing.peek() {
+        while let Some(&Reverse(key)) = self.finishing.peek() {
+            let finish = (key >> 32) as u64;
             debug_assert!(finish >= step, "member missed its finish step");
             if finish != step {
                 break;
             }
             self.finishing.pop();
-            self.complete(r as usize, now);
+            self.complete(key as u32 as usize, now);
         }
         for r in self.step_first..self.next_admit {
             self.first_token[r] = now;
@@ -443,7 +527,8 @@ impl<'a, S: EventSink> GenEngine<'a, S> {
                 // Saturating: a finish step past u64::MAX is never
                 // reached, so clamping it changes nothing.
                 let finish = step.saturating_add(output - 1);
-                self.finishing.push(Reverse((finish, r as u32)));
+                self.finishing
+                    .push(Reverse(u128::from(finish) << 32 | u128::from(r as u32)));
             }
         }
         match self.cfg.mode {
@@ -577,6 +662,7 @@ impl<'a, S: EventSink> GenEngine<'a, S> {
             "per-request conservation"
         );
         let mut metrics = self.metrics;
+        metrics.decode_steps.add(self.steps);
         metrics.kv_peak_bytes = self.kv_peak;
         let ttft_stats = LatencyStats::from_samples(&self.ttfts);
         let tpot_stats = LatencyStats::from_samples(&self.tpots);
@@ -707,6 +793,14 @@ mod tests {
                 kv_bytes_per_token: 1000,
             },
         }
+    }
+
+    /// `(step, decode batch)` of every recorded launch.
+    fn launches(rec: &Recorder) -> Vec<(u64, i64)> {
+        rec.events()
+            .filter(|e| e.name == "decode_step")
+            .map(|e| (e.id, e.arg))
+            .collect()
     }
 
     #[test]
@@ -848,12 +942,11 @@ mod tests {
         // the step ended first, step 2 would have launched with request
         // 0 alone and request 1 would have waited for step 3.
         assert_eq!(r.metrics.queue_wait_s.max(), 0.0);
-        let steps: Vec<(u64, i64)> = rec
-            .events()
-            .filter(|e| e.name == "decode_step")
-            .map(|e| (e.id, e.arg))
-            .collect();
-        assert_eq!(steps[..2], [(1, 1), (2, 2)], "(step, decode batch)");
+        assert_eq!(
+            launches(&rec)[..2],
+            [(1, 1), (2, 2)],
+            "(step, decode batch)"
+        );
     }
 
     #[test]
@@ -944,16 +1037,159 @@ mod tests {
             engine.output[1] = 1;
             let r = engine.run();
             assert!(r.conservation_holds());
-            let steps: Vec<(u64, i64)> = rec
-                .events()
-                .filter(|e| e.name == "decode_step")
-                .map(|e| (e.id, e.arg))
-                .collect();
-            assert_eq!(steps, batches, "{mode:?}: (step, decode batch)");
+            assert_eq!(launches(&rec), batches, "{mode:?}: (step, decode batch)");
             let padded: i64 = batches.iter().map(|&(_, b)| b).sum();
             assert_eq!(r.metrics.decode_batch.sum(), padded as f64, "{mode:?}");
             assert_eq!(r.metrics.tokens_generated.get(), 5, "{mode:?}");
         }
+    }
+
+    #[test]
+    fn quiet_run_stops_for_an_arrival_on_its_last_step_end() {
+        // Request 0 (8 tokens) joins step 1 at 0.5; steps then end at
+        // 0.75, 0.875, 1.0, 1.125 and 1.25, exact binary fractions.
+        // The ends of steps 2 to 4 are quiet, so one run ends them and
+        // launches steps 3 to 5. Request 1 arrives exactly as step 5
+        // ends: arrivals win ties, so the run leaves step 5 in flight
+        // and request 1 joins step 6 without waiting.
+        let lat = exact_latency();
+        let mut cfg = gen_cfg(1.0, BatchingMode::Continuous);
+        cfg.requests = 2;
+        cfg.model.prompt = TokenDistribution::Fixed(1);
+        cfg.model.output = TokenDistribution::Fixed(8);
+        let mut rec = Recorder::new();
+        let mut engine = GenEngine::new(&lat, &cfg, &mut rec);
+        engine.arrivals = vec![0.5, 1.25];
+        let r = engine.run();
+        assert!(r.conservation_holds());
+        assert_eq!(r.metrics.queue_wait_s.max(), 0.0);
+        let steps = launches(&rec);
+        assert_eq!(steps[4..6], [(5, 1), (6, 2)], "(step, decode batch)");
+        // Request 1 finishes at step 6 + 8 - 1 = 13. Every step end is
+        // an event, whether a run ended it or not.
+        assert_eq!(steps.len(), 13);
+        assert_eq!(r.metrics.decode_steps.get(), 13);
+        assert_eq!(r.metrics.decode_batch.count(), 13);
+        assert_eq!(r.metrics.events_processed.get(), 2 + 13);
+    }
+
+    #[test]
+    fn members_finishing_right_after_a_run_complete_in_admission_order() {
+        // Request 0 (12 tokens) joins step 1 and request 1 (10 tokens)
+        // step 3, so both finish at step 12. The ends of steps 4 to 11
+        // are quiet: one run launches steps 5 to 12 and stops there.
+        // Step 12's end completes request 0, then request 1. Request 2
+        // arrives much later.
+        let lat = exact_latency();
+        let mut cfg = gen_cfg(1.0, BatchingMode::Continuous);
+        cfg.requests = 3;
+        cfg.model.prompt = TokenDistribution::Fixed(1);
+        cfg.model.output = TokenDistribution::Fixed(12);
+        let mut rec = Recorder::new();
+        let mut engine = GenEngine::new(&lat, &cfg, &mut rec);
+        engine.arrivals = vec![0.5, 0.8, 100.0];
+        engine.output[1] = 10;
+        let r = engine.run();
+        assert!(r.conservation_holds());
+        let mut step = 0;
+        let mut completes = Vec::new();
+        for e in rec.events() {
+            match &*e.name {
+                "decode_step" => step = e.id,
+                "complete" => completes.push((e.id, step, e.t_s)),
+                _ => {}
+            }
+        }
+        assert_eq!((completes[0].0, completes[0].1), (0, 12));
+        assert_eq!((completes[1].0, completes[1].1), (1, 12));
+        assert_eq!(completes[0].2, completes[1].2);
+        assert_eq!(launches(&rec)[11..13], [(12, 2), (13, 1)]);
+    }
+
+    #[test]
+    fn kv_blocked_head_defers_at_every_boundary_outside_runs() {
+        // KV holds one request. Request 0 (8 tokens) joins step 1;
+        // request 1 arrives during step 2 and its reservation does not
+        // fit until request 0 finishes at step 8. Every boundary in
+        // between defers it once and launches the next step, so none
+        // of them is quiet. Request 1 then joins step 9 and finishes at
+        // step 16 after a run.
+        let lat = exact_latency();
+        let mut cfg = gen_cfg(1.0, BatchingMode::Continuous);
+        cfg.requests = 2;
+        cfg.model.prompt = TokenDistribution::Fixed(1);
+        cfg.model.output = TokenDistribution::Fixed(8);
+        cfg.kv_capacity_bytes = 9_000;
+        let mut rec = Recorder::new();
+        let mut engine = GenEngine::new(&lat, &cfg, &mut rec);
+        engine.arrivals = vec![0.5, 0.8];
+        let r = engine.run();
+        assert!(r.conservation_holds());
+        assert_eq!(r.metrics.kv_deferrals.get(), 6);
+        // Each deferral is recorded at the boundary whose launch follows.
+        let events: Vec<_> = rec.events().collect();
+        let deferred_before: Vec<u64> = events
+            .windows(2)
+            .filter(|w| w[0].name == "kv_defer" && w[1].name == "decode_step")
+            .map(|w| {
+                assert_eq!(w[0].t_s, w[1].t_s);
+                w[1].id
+            })
+            .collect();
+        assert_eq!(deferred_before, [3, 4, 5, 6, 7, 8]);
+        assert_eq!(launches(&rec)[8], (9, 1));
+        assert_eq!(r.metrics.decode_steps.get(), 16);
+        assert_eq!(r.metrics.events_processed.get(), 2 + 16);
+    }
+
+    #[test]
+    fn static_run_keeps_padding_and_sums_busy_time_step_by_step() {
+        // Request 0 (1 token) runs step 1 alone. Requests 1 (2 tokens)
+        // and 2 (6 tokens) join step 2 together; request 1 finishes at
+        // step 3 and pads the batch until request 2 finishes at step 7.
+        // Request 3 arrives during step 5, splitting the quiet ends of
+        // steps 4 to 6 into two runs, and may join only once the batch
+        // retires, at step 8.
+        let lat = exact_latency();
+        let mut cfg = gen_cfg(1.0, BatchingMode::Static);
+        cfg.requests = 4;
+        cfg.model.prompt = TokenDistribution::Fixed(1);
+        cfg.model.output = TokenDistribution::Fixed(6);
+        let mut rec = Recorder::new();
+        let mut engine = GenEngine::new(&lat, &cfg, &mut rec);
+        let (prefill, d1, d2) = (lat.prefill_s(1), lat.decode_step_s(1), lat.decode_step_s(2));
+        let arrive_3 = 0.75 + (prefill + prefill + d2) + 2.5 * d2;
+        engine.arrivals = vec![0.5, 0.6, 0.7, arrive_3];
+        engine.output[0] = 1;
+        engine.output[1] = 2;
+        let r = engine.run();
+        assert!(r.conservation_holds());
+        let mut batches = vec![(1, 1)];
+        batches.extend((2..=7).map(|s| (s, 2)));
+        batches.extend((8..=13).map(|s| (s, 1)));
+        assert_eq!(launches(&rec), batches, "(step, decode batch)");
+        assert_eq!(r.metrics.tokens_generated.get(), 1 + 2 + 6 + 6);
+        assert_eq!(r.metrics.decode_batch.count(), 13);
+        assert_eq!(r.metrics.decode_batch.sum(), 1.0 + 6.0 * 2.0 + 6.0);
+        assert_eq!(r.metrics.events_processed.get(), 4 + 13);
+        // Busy time and the clock add one step at a time, in launch
+        // order, exactly as step-by-step ends would.
+        let mut durations = vec![0.0 + prefill + d1, 0.0 + prefill + prefill + d2];
+        durations.extend([d2; 5]);
+        durations.push(0.0 + prefill + d1);
+        durations.extend([d1; 5]);
+        let (mut busy, mut clock, mut ends) = (0.0, 0.5, Vec::new());
+        for d in durations {
+            busy += d;
+            clock += d;
+            ends.push(clock);
+        }
+        assert_eq!(r.metrics.per_server_busy_s[0].to_bits(), busy.to_bits());
+        assert_eq!(r.duration_s.to_bits(), ends[12].to_bits());
+        // Request 3 waited from its arrival to the end of step 7.
+        let wait = ends[6] - arrive_3;
+        assert!(ends[3] < arrive_3 && arrive_3 < ends[4]);
+        assert_eq!(r.metrics.queue_wait_s.max().to_bits(), wait.to_bits());
     }
 
     #[test]

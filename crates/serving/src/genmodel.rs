@@ -96,7 +96,39 @@ impl TokenDistribution {
     /// Draws one token count. Deterministic given the RNG state; every
     /// variant except `Fixed` consumes exactly one draw.
     pub fn sample(&self, rng: &mut StdRng) -> u64 {
-        match *self {
+        self.sampler().sample(rng)
+    }
+
+    /// This distribution prepared for many draws: the geometric's
+    /// constant `ln(1 - 1/mean)` is computed here, once, instead of on
+    /// every draw.
+    pub(crate) fn sampler(&self) -> TokenSampler {
+        let ln_keep = match *self {
+            TokenDistribution::Geometric { mean, .. } => (1.0 - 1.0 / mean).ln(),
+            _ => 0.0,
+        };
+        TokenSampler {
+            dist: *self,
+            ln_keep,
+        }
+    }
+}
+
+/// A [`TokenDistribution`] with its per-distribution constant computed:
+/// the one draw path behind [`TokenDistribution::sample`] and the decode
+/// loop's per-request draws.
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct TokenSampler {
+    dist: TokenDistribution,
+    /// `ln(1 - 1/mean)` for a geometric; unused otherwise.
+    ln_keep: f64,
+}
+
+impl TokenSampler {
+    /// Draws one token count, consuming the RNG exactly as
+    /// [`TokenDistribution::sample`] documents.
+    pub(crate) fn sample(&self, rng: &mut StdRng) -> u64 {
+        match self.dist {
             TokenDistribution::Fixed(n) => n,
             TokenDistribution::Uniform { min, max } => {
                 // Half-open gen_range; min >= 1 keeps `span + 1` from
@@ -112,11 +144,10 @@ impl TokenDistribution {
                     let _ = rng.gen_range(f64::EPSILON..1.0);
                     return 1;
                 }
-                let p = 1.0 / mean;
                 let u: f64 = rng.gen_range(f64::EPSILON..1.0);
                 // Inverse CDF of the geometric on {1, 2, ...}: `u` and
                 // `1 - u` are identically distributed, so ln(u) serves.
-                let k = 1.0 + (u.ln() / (1.0 - p).ln()).floor();
+                let k = 1.0 + (u.ln() / self.ln_keep).floor();
                 (k as u64).clamp(1, max)
             }
         }

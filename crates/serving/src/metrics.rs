@@ -97,6 +97,18 @@ impl Histogram {
     /// Records one observation.
     #[inline]
     pub fn observe(&mut self, value: f64) {
+        self.observe_repeat(value, 1);
+    }
+
+    /// Records `k` observations of `value`: the same counts, `n`, `max`
+    /// and, bit for bit, `sum` as `k` calls to [`Histogram::observe`],
+    /// with one bucket lookup. The sum still adds `value` once per
+    /// observation, since `k * value` can round differently.
+    #[inline]
+    pub fn observe_repeat(&mut self, value: f64, k: u64) {
+        if k == 0 {
+            return;
+        }
         // Bounds strictly increase, so the number of bounds below the
         // value IS the bucket index (what partition_point would
         // return). A branchless count over <=16 f64s vectorizes and
@@ -107,9 +119,11 @@ impl Histogram {
             .iter()
             .map(|&b| u64::from(value > b))
             .sum::<u64>() as usize;
-        self.counts[idx] += 1;
-        self.sum += value;
-        self.n += 1;
+        self.counts[idx] += k;
+        for _ in 0..k {
+            self.sum += value;
+        }
+        self.n += k;
         if value > self.max {
             self.max = value;
         }
@@ -528,6 +542,40 @@ mod tests {
             b.observe(*v);
         }
         assert_eq!(a, b);
+    }
+
+    #[test]
+    fn observe_repeat_equals_repeated_observe() {
+        // 0.1 added ten times is not 10 * 0.1, so `sum` must add one
+        // term per observation; 1e6 lands in the overflow bucket; k = 0
+        // must leave even `max` alone.
+        for (v, k) in [(0.1, 10), (3.0, 7), (1e6, 3), (1e9, 0), (0.7, 1)] {
+            let mut repeated = Histogram::exponential(1.0, 2.0, 14);
+            repeated.observe(0.3);
+            let mut one_by_one = repeated.clone();
+            repeated.observe_repeat(v, k);
+            for _ in 0..k {
+                one_by_one.observe(v);
+            }
+            let buckets: Vec<_> = repeated.buckets().collect();
+            assert_eq!(
+                buckets,
+                one_by_one.buckets().collect::<Vec<_>>(),
+                "{v} x {k}"
+            );
+            assert_eq!(repeated.count(), one_by_one.count(), "{v} x {k}");
+            assert_eq!(repeated.max(), one_by_one.max(), "{v} x {k}");
+            assert_eq!(
+                repeated.sum().to_bits(),
+                one_by_one.sum().to_bits(),
+                "{v} x {k}"
+            );
+        }
+        let mut h = Histogram::exponential(1.0, 2.0, 14);
+        h.observe_repeat(1e6, 2);
+        assert_eq!(h.buckets().last(), Some((f64::INFINITY, 2)));
+        h.observe_repeat(1e9, 0);
+        assert_eq!((h.count(), h.max()), (2, 1e6));
     }
 
     #[test]

@@ -1,5 +1,7 @@
 //! Exact latency statistics.
 
+use std::cmp::Ordering;
+
 /// Summary statistics over a set of request latencies.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct LatencyStats {
@@ -47,35 +49,21 @@ impl LatencyStats {
         let mut all_nonneg = true;
         for s in samples {
             sum += s;
-            if s.total_cmp(&max_s) == std::cmp::Ordering::Greater {
+            if s.total_cmp(&max_s) == Ordering::Greater {
                 max_s = *s;
             }
             all_nonneg &= s.to_bits() >> 63 == 0;
         }
         // For non-negative samples (every latency the engines record),
         // `total_cmp` coincides exactly with the unsigned order of the
-        // IEEE-754 bit patterns, so selection can run on `u64` keys —
-        // no comparator closure, branch-cheap integer partitioning.
-        // The percentiles picked are bit-identical to the f64 path's.
-        let (p50_s, p95_s, p99_s) = if all_nonneg {
+        // IEEE-754 bit patterns, so selection can run on `u64` keys with
+        // plain integer compares. The percentiles picked are
+        // bit-identical to the f64 path's.
+        let [p50_s, p95_s, p99_s] = if all_nonneg {
             let mut scratch: Vec<u64> = samples.iter().map(|s| s.to_bits()).collect();
-            let mut pick = |q: f64| {
-                let idx = tpu_numerics::stats::nearest_rank_index(q, n);
-                let (_, v, _) = scratch.select_nth_unstable(idx);
-                f64::from_bits(*v)
-            };
-            // Ascending quantile order: each selection partitions the
-            // scratch, so later (higher) selections scan a shrinking
-            // tail.
-            (pick(0.50), pick(0.95), pick(0.99))
+            select_percentiles(&mut scratch, u64::cmp).map(f64::from_bits)
         } else {
-            let mut scratch = samples.to_vec();
-            let mut pick = |q: f64| {
-                let idx = tpu_numerics::stats::nearest_rank_index(q, n);
-                let (_, v, _) = scratch.select_nth_unstable_by(idx, |a, b| a.total_cmp(b));
-                *v
-            };
-            (pick(0.50), pick(0.95), pick(0.99))
+            select_percentiles(&mut samples.to_vec(), f64::total_cmp)
         };
         LatencyStats {
             n,
@@ -86,6 +74,21 @@ impl LatencyStats {
             max_s,
         }
     }
+}
+
+/// The nearest-rank p50, p95 and p99 of `scratch` under `cmp`, picked
+/// in ascending order. Each selection leaves every element from its
+/// index on at least the element it picked, so the next, higher rank
+/// is selected in that tail alone.
+fn select_percentiles<T: Copy>(scratch: &mut [T], cmp: impl Fn(&T, &T) -> Ordering) -> [T; 3] {
+    let n = scratch.len();
+    let mut from = 0;
+    [0.50, 0.95, 0.99].map(|q| {
+        let idx = tpu_numerics::stats::nearest_rank_index(q, n);
+        let (_, v, _) = scratch[from..].select_nth_unstable_by(idx - from, &cmp);
+        from = idx;
+        *v
+    })
 }
 
 #[cfg(test)]
@@ -132,6 +135,48 @@ mod tests {
         let pos: Vec<f64> = v.iter().map(|x| x + 3.0).collect();
         let sp = LatencyStats::from_samples(&pos);
         assert_eq!(sp.p50_s, 5.0);
+    }
+
+    /// `from_samples` computed by a full sort.
+    fn sorted_reference(samples: &[f64]) -> LatencyStats {
+        let mut sorted = samples.to_vec();
+        sorted.sort_by(f64::total_cmp);
+        let n = sorted.len();
+        let at = |q| sorted[tpu_numerics::stats::nearest_rank_index(q, n)];
+        LatencyStats {
+            n,
+            mean_s: samples.iter().sum::<f64>() / n as f64,
+            p50_s: at(0.50),
+            p95_s: at(0.95),
+            p99_s: at(0.99),
+            max_s: sorted[n - 1],
+        }
+    }
+
+    #[test]
+    fn selection_matches_a_full_sort() {
+        use rand::rngs::StdRng;
+        use rand::{Rng, SeedableRng};
+        let mut rng = StdRng::seed_from_u64(42);
+        for n in 1..=257usize {
+            // Continuous draws, heavy ties, one repeated value, and
+            // mixed signs (the comparator path).
+            let inputs: [Vec<f64>; 4] = [
+                (0..n).map(|_| rng.gen_range(0.0..1.0)).collect(),
+                (0..n).map(|_| rng.gen_range(0..4) as f64 * 0.25).collect(),
+                vec![0.125; n],
+                (0..n).map(|_| rng.gen_range(-1.0..1.0)).collect(),
+            ];
+            for samples in &inputs {
+                let got = LatencyStats::from_samples(samples);
+                let want = sorted_reference(samples);
+                let bits = |s: &LatencyStats| {
+                    [s.mean_s, s.p50_s, s.p95_s, s.p99_s, s.max_s].map(f64::to_bits)
+                };
+                assert_eq!(got.n, want.n);
+                assert_eq!(bits(&got), bits(&want), "n {n}: {samples:?}");
+            }
+        }
     }
 
     #[test]
