@@ -4,9 +4,12 @@
 //! from, never an input to, simulation state).
 
 use tpu_serving::faults::{FailoverConfig, FaultKind, FaultPlan, MtbfFaults, ScheduledFault};
+use tpu_serving::metrics::Histogram;
 use tpu_serving::{
-    simulate_fleet_recorded, simulate_fleet_with_faults, FleetConfig, FleetPolicy, LatencyModel,
-    RetryPolicy, ServingConfig, ServingReport,
+    simulate_fleet_recorded, simulate_fleet_with_faults, simulate_global, simulate_global_recorded,
+    AutoscalerConfig, Cell, CellFault, CellFaultKind, FleetConfig, FleetPolicy, GeoPolicy,
+    GlobalConfig, GlobalReport, LatencyModel, LatencyStats, RetryPolicy, ServingConfig,
+    ServingMetrics, ServingReport, TrafficModel,
 };
 use tpu_telemetry::{chrome_trace_json, span_balance, validate_chrome_json, Recorder, SpanPhase};
 
@@ -227,4 +230,332 @@ fn shed_instants_partition_by_reason() {
     server_tracks.sort_unstable();
     server_tracks.dedup();
     assert!(server_tracks.len() >= 2, "batches on at least two servers");
+}
+
+/// FNV-1a over little-endian words: folds runs into one constant, so a
+/// change to any report bit or recorded event changes the result.
+struct Fold(u64);
+
+impl Fold {
+    fn bytes(&mut self, bytes: &[u8]) {
+        for &b in bytes {
+            self.0 = (self.0 ^ u64::from(b)).wrapping_mul(0x0100_0000_01b3);
+        }
+    }
+
+    fn word(&mut self, w: u64) {
+        self.bytes(&w.to_le_bytes());
+    }
+
+    fn float(&mut self, x: f64) {
+        self.word(x.to_bits());
+    }
+
+    fn text(&mut self, s: &str) {
+        self.word(s.len() as u64);
+        self.bytes(s.as_bytes());
+    }
+
+    fn histogram(&mut self, h: &Histogram) {
+        self.word(h.count());
+        self.float(h.sum());
+        self.float(h.max());
+        for (bound, count) in h.buckets() {
+            self.float(bound);
+            self.word(count);
+        }
+    }
+
+    fn stats(&mut self, s: &LatencyStats) {
+        self.word(s.n as u64);
+        for x in [s.mean_s, s.p50_s, s.p95_s, s.p99_s, s.max_s] {
+            self.float(x);
+        }
+    }
+
+    fn metrics(&mut self, m: &ServingMetrics) {
+        for c in [
+            m.arrivals,
+            m.admitted,
+            m.completed,
+            m.completed_late,
+            m.shed_queue_full,
+            m.shed_deadline,
+            m.shed_no_capacity,
+            m.shed_permanent,
+            m.retries,
+            m.retries_exhausted,
+            m.dropped_at_drain,
+            m.failures_injected,
+            m.degrades_injected,
+            m.failures_detected,
+            m.failures_recovered,
+            m.in_flight_failures,
+            m.failed_permanent,
+            m.failover_redistributed,
+            m.events_processed,
+            m.tokens_generated,
+            m.tokens_prefilled,
+            m.decode_steps,
+            m.kv_deferrals,
+        ] {
+            self.word(c.get());
+        }
+        self.word(m.kv_peak_bytes);
+        for h in [
+            &m.batch_sizes,
+            &m.decode_batch,
+            &m.queue_wait_s,
+            &m.time_to_detect_s,
+            &m.time_to_recover_s,
+        ] {
+            self.histogram(h);
+        }
+        for v in [&m.per_server_busy_s, &m.per_server_down_s] {
+            self.word(v.len() as u64);
+            v.iter().for_each(|&x| self.float(x));
+        }
+        self.word(m.per_server_completed.len() as u64);
+        m.per_server_completed.iter().for_each(|&c| self.word(c));
+    }
+
+    fn fleet_report(&mut self, r: &ServingReport) {
+        self.stats(&r.stats);
+        for x in [
+            r.p50_s,
+            r.p99_s,
+            r.throughput_rps,
+            r.goodput_rps,
+            r.mean_batch,
+            r.server_utilization,
+            r.duration_s,
+        ] {
+            self.float(x);
+        }
+        for n in [r.arrivals, r.completed, r.shed, r.dropped, r.failed] {
+            self.word(n as u64);
+        }
+        self.word(r.seed);
+        self.metrics(&r.metrics);
+    }
+
+    fn global_report(&mut self, r: &GlobalReport) {
+        for w in [
+            r.arrivals,
+            r.completed,
+            r.good,
+            r.shed,
+            r.dropped,
+            r.failed,
+            r.redirected,
+            r.lb_shed,
+            r.seed,
+        ] {
+            self.word(w);
+        }
+        for x in [
+            r.p50_s,
+            r.p99_s,
+            r.throughput_rps,
+            r.goodput_rps,
+            r.availability,
+            r.duration_s,
+        ] {
+            self.float(x);
+        }
+        self.stats(&r.stats);
+        self.metrics(&r.metrics);
+        self.word(r.cells.len() as u64);
+        for c in &r.cells {
+            for w in [
+                c.offered,
+                c.redirected_in,
+                c.redirected_out,
+                c.lb_shed,
+                c.assigned,
+                c.completed,
+                c.good,
+                c.shed,
+                c.dropped,
+                c.failed,
+                c.infra_lost,
+                c.peak_servers as u64,
+                c.final_servers as u64,
+                c.scale_ups,
+                c.scale_downs,
+                c.server_epochs,
+            ] {
+                self.word(w);
+            }
+            self.float(c.cell_down_s);
+            self.stats(&c.stats);
+            self.metrics(&c.metrics);
+        }
+        let a = &r.autoscaler;
+        for w in [
+            a.scale_ups,
+            a.scale_downs,
+            a.servers_added,
+            a.servers_removed,
+            a.peak_servers as u64,
+            a.server_epochs,
+        ] {
+            self.word(w);
+        }
+    }
+
+    fn recording(&mut self, rec: &Recorder) {
+        for e in rec.events() {
+            self.float(e.t_s);
+            self.text(e.track.name);
+            self.word(u64::from(e.track.index));
+            self.word(match e.phase {
+                SpanPhase::Begin => 0,
+                SpanPhase::End => 1,
+                SpanPhase::Instant => 2,
+            });
+            self.text(&e.name);
+            self.word(e.id);
+            self.word(e.arg as u64);
+        }
+        for (name, &value) in rec.counters() {
+            self.text(name);
+            self.word(value);
+        }
+    }
+}
+
+/// A 3-server fleet offered twice its batch-16 capacity, with no
+/// faults, with or without deadline shedding, a queue cap and retries.
+fn overload_fleet(protected: bool) -> FleetConfig {
+    let base = ServingConfig {
+        arrival_rate_rps: 52_000.0,
+        max_batch: 16,
+        batch_timeout_s: 0.001,
+        requests: 4000,
+        seed: 41,
+    };
+    let policy = if protected {
+        FleetPolicy {
+            deadline_s: Some(0.02),
+            shed_expired: true,
+            queue_budget_s: Some(0.015),
+            queue_cap: Some(128),
+            retry: RetryPolicy {
+                max_retries: 2,
+                backoff_s: 0.001,
+                backoff_mult: 2.0,
+            },
+        }
+    } else {
+        FleetPolicy {
+            deadline_s: Some(0.02),
+            ..FleetPolicy::default()
+        }
+    };
+    FleetConfig::new(base.with_servers(3)).with_policy(policy)
+}
+
+/// Three cells under a flash crowd, each hit by one cell fault (an
+/// outage, a brownout and a partition), with an autoscaler free to
+/// shrink each cell to one server and geo failover on or off.
+fn faulted_global(failover: bool, seed: u64) -> GlobalConfig {
+    let cell = |servers: usize| {
+        let base = ServingConfig {
+            arrival_rate_rps: 1.0, // overwritten per epoch
+            max_batch: 16,
+            batch_timeout_s: 0.002,
+            requests: 1, // overwritten per epoch
+            seed: 0,     // overwritten per epoch
+        };
+        let fleet = FleetConfig::new(base.with_servers(servers)).with_policy(FleetPolicy {
+            deadline_s: Some(0.05),
+            shed_expired: true,
+            queue_budget_s: Some(0.04),
+            queue_cap: Some(256),
+            retry: RetryPolicy {
+                max_retries: 1,
+                backoff_s: 0.002,
+                backoff_mult: 2.0,
+            },
+        });
+        Cell::new(fleet, 2500.0, servers * 2)
+            .with_bounds(1, servers * 2)
+            .with_faults(FaultPlan::none().with_failover(FailoverConfig::default()))
+    };
+    let fault = |cell: usize, at_s: f64, duration_s: f64, kind: CellFaultKind| CellFault {
+        cell,
+        at_s,
+        duration_s,
+        kind,
+    };
+    GlobalConfig {
+        cells: vec![cell(2), cell(3), cell(2)],
+        traffic: TrafficModel::diurnal(9000.0, 0.3, 1.0).with_flash(0.4, 0.2, 3.0),
+        cell_faults: vec![
+            fault(0, 0.33, 0.32, CellFaultKind::Outage),
+            fault(1, 0.52, 0.2, CellFaultKind::Brownout { fraction: 0.5 }),
+            fault(2, 0.75, 0.15, CellFaultKind::Partition),
+        ],
+        autoscaler: AutoscalerConfig {
+            target_utilization: 0.25,
+            ..AutoscalerConfig::default()
+        },
+        geo: GeoPolicy {
+            failover,
+            redirect_latency_s: 0.01,
+            ..GeoPolicy::default()
+        },
+        epoch_s: 0.1,
+        horizon_s: 1.0,
+        seed,
+    }
+}
+
+/// Pins the fleet engine's and the global fleet layer's observable
+/// behaviour: every report bit and every recorded event and counter,
+/// over chaos fleets at three seeds, a protected and an unprotected
+/// overload fleet, and global runs through an outage, a brownout and a
+/// partition with the autoscaler on and geo failover on and off. A
+/// change that keeps behaviour must leave the constant unchanged.
+#[test]
+fn fleet_and_global_streams_are_pinned() {
+    let mut fold = Fold(0xcbf2_9ce4_8422_2325);
+    let mut fleets: Vec<(FleetConfig, FaultPlan)> =
+        [3, 11, 29].map(|seed| chaos_fleet(4000, seed)).into();
+    for protected in [true, false] {
+        fleets.push((overload_fleet(protected), FaultPlan::none()));
+    }
+    for (fleet, plan) in &fleets {
+        let plain = simulate_fleet_with_faults(&model(), fleet, plan).expect("valid fleet");
+        let mut rec = Recorder::with_capacity(1 << 20);
+        let recorded = simulate_fleet_recorded(&model(), fleet, plan, &mut rec).expect("valid");
+        assert_eq!(plain, recorded);
+        assert_eq!(rec.dropped(), 0);
+        fold.fleet_report(&plain);
+        fold.recording(&rec);
+    }
+    let mut fired = std::collections::BTreeSet::new();
+    for failover in [true, false] {
+        for seed in [5, 6] {
+            let cfg = faulted_global(failover, seed);
+            let plain = simulate_global(&model(), &cfg).expect("valid global config");
+            let mut rec = Recorder::with_capacity(1 << 20);
+            let recorded = simulate_global_recorded(&model(), &cfg, &mut rec).expect("valid");
+            assert_eq!(plain, recorded);
+            assert_eq!(rec.dropped(), 0);
+            fold.global_report(&plain);
+            fold.recording(&rec);
+            fired.extend(rec.events().map(|e| e.name.to_string()));
+        }
+    }
+    // The battery reaches the global emit sites it claims to pin.
+    for name in ["redirect_in", "lb_shed", "infra_lost", "autoscale"] {
+        assert!(fired.contains(name), "battery never fires {name}");
+    }
+    assert_eq!(
+        fold.0, 0xd8e2_4067_3391_674b,
+        "fleet and global pin moved: got {:#018x}",
+        fold.0
+    );
 }
