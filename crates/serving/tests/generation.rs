@@ -5,6 +5,9 @@
 //! every report bit and recorded event of a fixed battery into one
 //! constant.
 
+mod common;
+
+use common::Fold;
 use proptest::prelude::*;
 
 use tpu_serving::des::{
@@ -12,8 +15,7 @@ use tpu_serving::des::{
 };
 use tpu_serving::genmodel::{GenerationModel, TokenDistribution};
 use tpu_serving::latency::{GenLatencyModel, LatencyModel};
-use tpu_serving::metrics::Histogram;
-use tpu_telemetry::{span_balance, Recorder, SpanPhase};
+use tpu_telemetry::{span_balance, Recorder};
 
 fn gen_latency() -> GenLatencyModel {
     GenLatencyModel {
@@ -193,46 +195,10 @@ fn continuous_dominates_static_under_overload() {
     );
 }
 
-/// FNV-1a over little-endian words: folds runs into one constant, so a
-/// change to any report bit or recorded event changes the result.
-struct Fold(u64);
-
 impl Fold {
-    fn bytes(&mut self, bytes: &[u8]) {
-        for &b in bytes {
-            self.0 = (self.0 ^ u64::from(b)).wrapping_mul(0x0100_0000_01b3);
-        }
-    }
-
-    fn word(&mut self, w: u64) {
-        self.bytes(&w.to_le_bytes());
-    }
-
-    fn float(&mut self, x: f64) {
-        self.word(x.to_bits());
-    }
-
-    fn text(&mut self, s: &str) {
-        self.word(s.len() as u64);
-        self.bytes(s.as_bytes());
-    }
-
-    fn histogram(&mut self, h: &Histogram) {
-        self.word(h.count());
-        self.float(h.sum());
-        self.float(h.max());
-        for (bound, count) in h.buckets() {
-            self.float(bound);
-            self.word(count);
-        }
-    }
-
     fn report(&mut self, r: &GenReport) {
         for s in [&r.ttft_stats, &r.tpot_stats, &r.e2e_stats] {
-            self.word(s.n as u64);
-            for x in [s.mean_s, s.p50_s, s.p95_s, s.p99_s, s.max_s] {
-                self.float(x);
-            }
+            self.stats(s);
         }
         for x in [
             r.p50_ttft_s,
@@ -299,26 +265,6 @@ impl Fold {
         }
         self.word(m.per_server_completed.len() as u64);
         m.per_server_completed.iter().for_each(|&c| self.word(c));
-    }
-
-    fn recording(&mut self, rec: &Recorder) {
-        for e in rec.events() {
-            self.float(e.t_s);
-            self.text(e.track.name);
-            self.word(u64::from(e.track.index));
-            self.word(match e.phase {
-                SpanPhase::Begin => 0,
-                SpanPhase::End => 1,
-                SpanPhase::Instant => 2,
-            });
-            self.text(&e.name);
-            self.word(e.id);
-            self.word(e.arg as u64);
-        }
-        for (name, &value) in rec.counters() {
-            self.text(name);
-            self.word(value);
-        }
     }
 }
 

@@ -3,13 +3,15 @@
 //! conservation, and the determinism guarantee (telemetry is derived
 //! from, never an input to, simulation state).
 
+mod common;
+
+use common::Fold;
 use tpu_serving::faults::{FailoverConfig, FaultKind, FaultPlan, MtbfFaults, ScheduledFault};
-use tpu_serving::metrics::Histogram;
 use tpu_serving::{
     simulate_fleet_recorded, simulate_fleet_with_faults, simulate_global, simulate_global_recorded,
     AutoscalerConfig, Cell, CellFault, CellFaultKind, FleetConfig, FleetPolicy, GeoPolicy,
-    GlobalConfig, GlobalReport, LatencyModel, LatencyStats, RetryPolicy, ServingConfig,
-    ServingMetrics, ServingReport, TrafficModel,
+    GlobalConfig, GlobalReport, LatencyModel, RetryPolicy, ServingConfig, ServingMetrics,
+    ServingReport, TrafficModel,
 };
 use tpu_telemetry::{chrome_trace_json, span_balance, validate_chrome_json, Recorder, SpanPhase};
 
@@ -232,47 +234,7 @@ fn shed_instants_partition_by_reason() {
     assert!(server_tracks.len() >= 2, "batches on at least two servers");
 }
 
-/// FNV-1a over little-endian words: folds runs into one constant, so a
-/// change to any report bit or recorded event changes the result.
-struct Fold(u64);
-
 impl Fold {
-    fn bytes(&mut self, bytes: &[u8]) {
-        for &b in bytes {
-            self.0 = (self.0 ^ u64::from(b)).wrapping_mul(0x0100_0000_01b3);
-        }
-    }
-
-    fn word(&mut self, w: u64) {
-        self.bytes(&w.to_le_bytes());
-    }
-
-    fn float(&mut self, x: f64) {
-        self.word(x.to_bits());
-    }
-
-    fn text(&mut self, s: &str) {
-        self.word(s.len() as u64);
-        self.bytes(s.as_bytes());
-    }
-
-    fn histogram(&mut self, h: &Histogram) {
-        self.word(h.count());
-        self.float(h.sum());
-        self.float(h.max());
-        for (bound, count) in h.buckets() {
-            self.float(bound);
-            self.word(count);
-        }
-    }
-
-    fn stats(&mut self, s: &LatencyStats) {
-        self.word(s.n as u64);
-        for x in [s.mean_s, s.p50_s, s.p95_s, s.p99_s, s.max_s] {
-            self.float(x);
-        }
-    }
-
     fn metrics(&mut self, m: &ServingMetrics) {
         for c in [
             m.arrivals,
@@ -401,26 +363,6 @@ impl Fold {
             a.server_epochs,
         ] {
             self.word(w);
-        }
-    }
-
-    fn recording(&mut self, rec: &Recorder) {
-        for e in rec.events() {
-            self.float(e.t_s);
-            self.text(e.track.name);
-            self.word(u64::from(e.track.index));
-            self.word(match e.phase {
-                SpanPhase::Begin => 0,
-                SpanPhase::End => 1,
-                SpanPhase::Instant => 2,
-            });
-            self.text(&e.name);
-            self.word(e.id);
-            self.word(e.arg as u64);
-        }
-        for (name, &value) in rec.counters() {
-            self.text(name);
-            self.word(value);
         }
     }
 }
