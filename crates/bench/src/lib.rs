@@ -15,7 +15,6 @@
 
 pub mod experiments;
 pub mod multiseed;
-pub mod quick;
 pub mod util;
 
 /// Runs one experiment by id (`"e1"`..`"e14"`), returning its rendered

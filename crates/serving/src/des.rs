@@ -17,16 +17,14 @@
 //! `arrivals == completed + shed + dropped + failed` (see
 //! [`ServingReport::conservation_holds`]).
 
-use std::borrow::Cow;
 use std::cmp::Reverse;
 use std::collections::{BinaryHeap, VecDeque};
 use std::fmt;
-use std::time::Instant;
 
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use tpu_sim::TimeKey;
-use tpu_telemetry::{EventSink, NullSink, Recorder, SpanPhase, TelemetryEvent, Track};
+use tpu_telemetry::{EventSink, NullSink, Recorder, SpanPhase, Track};
 
 use crate::faults::{FailoverConfig, FaultKind, FaultPlan, ScheduledFault};
 use crate::latency::LatencyModel;
@@ -992,9 +990,7 @@ pub fn simulate_fleet_samples(
 /// lifecycle recorded into `recorder`: `queued` / `batch` / `down` spans
 /// per server, arrival / completion / shed / retry / probe / fault
 /// instants on the fleet track, and exact per-event-name counters
-/// (including `events_processed`). With
-/// [`Recorder::enable_profiling`] on, the engine additionally times its
-/// own dispatch and attributes host nanoseconds per DES event type.
+/// (including `events_processed`).
 ///
 /// Telemetry is derived from, never an input to, simulation state: the
 /// returned report is bit-identical to the [`simulate_fleet_with_faults`]
@@ -1038,29 +1034,12 @@ fn queued_span_id(req: usize, attempt: u32) -> u64 {
     (attempt as u64) << 40 | req as u64
 }
 
-/// Profiler attribution key per DES event type.
-fn event_kind(e: &Event) -> &'static str {
-    match e {
-        Event::Arrival(_) => "arrival",
-        Event::Retry { .. } => "retry",
-        Event::Timeout { .. } => "timeout",
-        Event::Expire { .. } => "expire",
-        Event::Done { .. } => "done",
-        Event::Fault(_) => "fault",
-        Event::CrashOver { .. } => "crash_over",
-        Event::HangOver { .. } => "hang_over",
-        Event::DegradeOver { .. } => "degrade_over",
-        Event::RecoveryDone { .. } => "recovery_done",
-        Event::Probe => "probe",
-    }
-}
-
 /// The DES state machine. One instance per run.
 ///
-/// Generic over the telemetry sink: every instrumentation site is
-/// guarded by `if S::ENABLED`, so the [`NullSink`] instantiation (all
-/// untraced entry points) monomorphizes to exactly the uninstrumented
-/// engine — zero overhead when disabled.
+/// Generic over the telemetry sink: every instrumentation site records
+/// through [`EventSink::emit`] or sits behind `if S::ENABLED`, so the
+/// [`NullSink`] instantiation (all untraced entry points) monomorphizes
+/// to exactly the uninstrumented engine — zero overhead when disabled.
 struct Engine<'a, S: EventSink> {
     sink: S,
     /// Latest popped event time (telemetry only): end-of-run records
@@ -1165,30 +1144,6 @@ impl<'a, S: EventSink> Engine<'a, S> {
             failed: 0,
             metrics: ServingMetrics::new(cfg.pool.servers),
             end_time: 0.0,
-        }
-    }
-
-    /// Record one telemetry event; compiles to nothing when the sink is
-    /// disabled. Must never influence simulation state.
-    #[inline(always)]
-    fn emit(
-        &mut self,
-        t_s: f64,
-        track: Track,
-        phase: SpanPhase,
-        name: &'static str,
-        id: u64,
-        arg: i64,
-    ) {
-        if S::ENABLED {
-            self.sink.record(TelemetryEvent {
-                t_s,
-                track,
-                phase,
-                name: Cow::Borrowed(name),
-                id,
-                arg,
-            });
         }
     }
 
@@ -1325,7 +1280,7 @@ impl<'a, S: EventSink> Engine<'a, S> {
         });
         self.servers[target].live += 1;
         self.queued_live += 1;
-        self.emit(
+        self.sink.emit(
             now,
             server_track(target),
             SpanPhase::Begin,
@@ -1371,7 +1326,7 @@ impl<'a, S: EventSink> Engine<'a, S> {
             }
         };
         let tries = self.req.tries(req);
-        self.emit(
+        self.sink.emit(
             now,
             FLEET,
             SpanPhase::Instant,
@@ -1385,7 +1340,7 @@ impl<'a, S: EventSink> Engine<'a, S> {
             let delay = retry.backoff_s * retry.backoff_mult.powi(tries as i32 - 1);
             self.req.set_phase(req, Phase::Idle);
             self.metrics.retries.inc();
-            self.emit(
+            self.sink.emit(
                 now,
                 FLEET,
                 SpanPhase::Instant,
@@ -1398,7 +1353,7 @@ impl<'a, S: EventSink> Engine<'a, S> {
             self.req.set_phase(req, Phase::Lost);
             self.shed += 1;
             self.metrics.shed_permanent.inc();
-            self.emit(
+            self.sink.emit(
                 now,
                 FLEET,
                 SpanPhase::Instant,
@@ -1422,7 +1377,7 @@ impl<'a, S: EventSink> Engine<'a, S> {
             let delay = retry.backoff_s * retry.backoff_mult.powi(tries as i32 - 1);
             self.req.set_phase(req, Phase::Idle);
             self.metrics.retries.inc();
-            self.emit(
+            self.sink.emit(
                 now,
                 FLEET,
                 SpanPhase::Instant,
@@ -1435,7 +1390,7 @@ impl<'a, S: EventSink> Engine<'a, S> {
             self.req.set_phase(req, Phase::Failed);
             self.failed += 1;
             self.metrics.failed_permanent.inc();
-            self.emit(
+            self.sink.emit(
                 now,
                 FLEET,
                 SpanPhase::Instant,
@@ -1466,7 +1421,7 @@ impl<'a, S: EventSink> Engine<'a, S> {
                 self.servers[s].queue.pop_front();
                 self.servers[s].live -= 1;
                 self.queued_live -= 1;
-                self.emit(
+                self.sink.emit(
                     now,
                     server_track(s),
                     SpanPhase::End,
@@ -1510,7 +1465,7 @@ impl<'a, S: EventSink> Engine<'a, S> {
             }
             self.req.set_phase(entry.req as usize, Phase::InService);
             self.metrics.queue_wait_s.observe(now - entry.enqueued);
-            self.emit(
+            self.sink.emit(
                 now,
                 server_track(s),
                 SpanPhase::End,
@@ -1549,7 +1504,7 @@ impl<'a, S: EventSink> Engine<'a, S> {
         server.busy = true;
         server.launch = server.launch.wrapping_add(1);
         let launch = server.launch;
-        self.emit(
+        self.sink.emit(
             now,
             server_track(s),
             SpanPhase::Begin,
@@ -1580,7 +1535,7 @@ impl<'a, S: EventSink> Engine<'a, S> {
         let s = f.server;
         self.servers[s].fault_epoch += 1;
         let epoch = self.servers[s].fault_epoch;
-        self.emit(
+        self.sink.emit(
             now,
             server_track(s),
             SpanPhase::Instant,
@@ -1607,7 +1562,8 @@ impl<'a, S: EventSink> Engine<'a, S> {
                     let mut members = std::mem::take(&mut batch.members);
                     self.metrics.per_server_busy_s[s] -= refund;
                     // Aborted batch: close its span with arg -1.
-                    self.emit(now, server_track(s), SpanPhase::End, "batch", span_id, -1);
+                    self.sink
+                        .emit(now, server_track(s), SpanPhase::End, "batch", span_id, -1);
                     for req in members.drain(..) {
                         self.metrics.in_flight_failures.inc();
                         self.fail_request(req as usize, now);
@@ -1654,7 +1610,7 @@ impl<'a, S: EventSink> Engine<'a, S> {
         if S::ENABLED {
             self.span_seq += 1;
             self.down_span[s] = self.span_seq;
-            self.emit(
+            self.sink.emit(
                 now,
                 server_track(s),
                 SpanPhase::Begin,
@@ -1670,7 +1626,8 @@ impl<'a, S: EventSink> Engine<'a, S> {
         if S::ENABLED && self.down_span[s] != 0 {
             let id = self.down_span[s];
             self.down_span[s] = 0;
-            self.emit(at, server_track(s), SpanPhase::End, "down", id, 0);
+            self.sink
+                .emit(at, server_track(s), SpanPhase::End, "down", id, 0);
         }
     }
 
@@ -1685,7 +1642,8 @@ impl<'a, S: EventSink> Engine<'a, S> {
             .time_to_recover_s
             .observe(now - self.servers[s].fault_at);
         self.end_down_span(s, now);
-        self.emit(now, server_track(s), SpanPhase::Instant, "recovered", 0, 0);
+        self.sink
+            .emit(now, server_track(s), SpanPhase::Instant, "recovered", 0, 0);
         self.relaunch_or_arm(s, now);
     }
 
@@ -1707,7 +1665,8 @@ impl<'a, S: EventSink> Engine<'a, S> {
                 self.metrics
                     .time_to_detect_s
                     .observe(now - self.servers[s].fault_at);
-                self.emit(now, server_track(s), SpanPhase::Instant, "detected", 0, 0);
+                self.sink
+                    .emit(now, server_track(s), SpanPhase::Instant, "detected", 0, 0);
                 // Failover: the dead server's queue is redistributed to
                 // surviving replicas (or shed, via normal admission).
                 // Stale entries are discarded here; only live ones count
@@ -1723,7 +1682,7 @@ impl<'a, S: EventSink> Engine<'a, S> {
                         self.metrics.failover_redistributed.inc();
                         // The old residency ends here; `admit` opens a
                         // fresh `queued` span at the next attempt.
-                        self.emit(
+                        self.sink.emit(
                             now,
                             server_track(s),
                             SpanPhase::End,
@@ -1739,7 +1698,8 @@ impl<'a, S: EventSink> Engine<'a, S> {
                 // The machine answers probes again: back into rotation.
                 self.servers[s].believed_up = true;
                 self.up_count += 1;
-                self.emit(now, server_track(s), SpanPhase::Instant, "readmit", 0, 0);
+                self.sink
+                    .emit(now, server_track(s), SpanPhase::Instant, "readmit", 0, 0);
                 self.relaunch_or_arm(s, now);
             }
         }
@@ -1770,7 +1730,7 @@ impl<'a, S: EventSink> Engine<'a, S> {
         self.finish()
     }
 
-    /// Accounts and dispatches one popped event (the hot-loop body).
+    /// Accounts and applies one popped event (the hot-loop body).
     #[inline(always)]
     fn process_one(&mut self, now: f64, event: Event) {
         self.metrics.events_processed.inc();
@@ -1778,35 +1738,15 @@ impl<'a, S: EventSink> Engine<'a, S> {
             // Track the latest popped time so end-of-run telemetry
             // can be stamped after any late timer pops.
             self.last_now = self.last_now.max(now);
-            if self.sink.profiling() {
-                // Self-instrumenting profiler: time our own dispatch
-                // and attribute host-nanoseconds per event type.
-                let kind = event_kind(&event);
-                // Host wall-clock, not sim time: the profiler
-                // measures our own dispatch cost and never feeds
-                // back into simulated state.
-                let t0 = Instant::now(); // repolint:allow host profiler
-                self.dispatch(now, event);
-                let ns = t0.elapsed().as_nanos() as u64;
-                self.sink.profile(kind, ns);
-                return;
-            }
         }
-        self.dispatch(now, event);
-    }
-
-    /// Applies one event to the state machine — the hot-loop body,
-    /// extracted so the traced run loop can time it per event type when
-    /// profiling is on.
-    #[inline(always)]
-    fn dispatch(&mut self, now: f64, event: Event) {
         let n = self.cfg.pool.base.requests;
         match event {
             Event::Arrival(i) => {
                 self.touch(now);
                 self.metrics.arrivals.inc();
                 self.req.first_arrival[i] = now;
-                self.emit(now, FLEET, SpanPhase::Instant, "arrive", i as u64, 0);
+                self.sink
+                    .emit(now, FLEET, SpanPhase::Instant, "arrive", i as u64, 0);
                 if i + 1 < n {
                     let t = self.arrivals[i + 1];
                     self.push_event(t, Event::Arrival(i + 1));
@@ -1862,7 +1802,7 @@ impl<'a, S: EventSink> Engine<'a, S> {
                 if S::ENABLED {
                     let span_id = self.servers[server].batch.span_id;
                     let size = self.servers[server].batch.members.len() as i64;
-                    self.emit(
+                    self.sink.emit(
                         now,
                         server_track(server),
                         SpanPhase::End,
@@ -1881,7 +1821,7 @@ impl<'a, S: EventSink> Engine<'a, S> {
                     self.completed += 1;
                     self.metrics.completed.inc();
                     self.metrics.per_server_completed[server] += 1;
-                    self.emit(
+                    self.sink.emit(
                         now,
                         FLEET,
                         SpanPhase::Instant,
@@ -1937,7 +1877,8 @@ impl<'a, S: EventSink> Engine<'a, S> {
                 }
             }
             Event::Probe => {
-                self.emit(now, FLEET, SpanPhase::Instant, "probe", 0, 0);
+                self.sink
+                    .emit(now, FLEET, SpanPhase::Instant, "probe", 0, 0);
                 self.probe_all(now);
                 // Re-arm only while requests are unresolved, so the
                 // event heap can drain.
@@ -1969,7 +1910,7 @@ impl<'a, S: EventSink> Engine<'a, S> {
                 self.req.set_phase(entry.req as usize, Phase::Lost);
                 self.metrics.dropped_at_drain.inc();
                 dropped += 1;
-                self.emit(
+                self.sink.emit(
                     stamp,
                     server_track(s),
                     SpanPhase::End,
@@ -1977,7 +1918,7 @@ impl<'a, S: EventSink> Engine<'a, S> {
                     queued_span_id(entry.req as usize, entry.attempt),
                     entry.req as i64,
                 );
-                self.emit(
+                self.sink.emit(
                     stamp,
                     FLEET,
                     SpanPhase::Instant,

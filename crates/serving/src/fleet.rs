@@ -73,7 +73,7 @@ use crate::faults::{FaultKind, FaultPlan, ScheduledFault};
 use crate::latency::LatencyModel;
 use crate::metrics::ServingMetrics;
 use crate::stats::LatencyStats;
-use tpu_telemetry::{Recorder, SpanPhase, TelemetryEvent, Track};
+use tpu_telemetry::{EventSink, NullSink, Recorder, SpanPhase, Track};
 
 // ---------------------------------------------------------------------------
 // Traffic model
@@ -810,26 +810,6 @@ const GEO: Track = Track {
     index: 0,
 };
 
-/// Emits one instant event if a recorder is attached.
-fn emit_instant(
-    rec: &mut Option<&mut Recorder>,
-    t_s: f64,
-    track: Track,
-    name: &'static str,
-    arg: i64,
-) {
-    if let Some(r) = rec.as_deref_mut() {
-        r.record(TelemetryEvent {
-            t_s,
-            track,
-            phase: SpanPhase::Instant,
-            name: name.into(),
-            id: 0,
-            arg,
-        });
-    }
-}
-
 /// Simulates the global fleet: the geo load-balancer, cell faults, and
 /// the autoscaler around per-cell DES runs.
 ///
@@ -846,7 +826,7 @@ pub fn simulate_global(
     cfg: &GlobalConfig,
 ) -> Result<GlobalReport, ConfigError> {
     cfg.validate()?;
-    Ok(run_global(latency, cfg, None))
+    Ok(run_global(latency, cfg, NullSink))
 }
 
 /// [`simulate_global`] with cell-scoped telemetry recorded: cell-down
@@ -869,7 +849,7 @@ pub fn simulate_global_recorded(
     recorder: &mut Recorder,
 ) -> Result<GlobalReport, ConfigError> {
     cfg.validate()?;
-    let report = run_global(latency, cfg, Some(recorder));
+    let report = run_global(latency, cfg, &mut *recorder);
     recorder.add_counter("global_arrivals", report.arrivals);
     recorder.add_counter("global_completed", report.completed);
     recorder.add_counter("global_redirected", report.redirected);
@@ -879,10 +859,10 @@ pub fn simulate_global_recorded(
     Ok(report)
 }
 
-fn run_global(
+fn run_global<S: EventSink>(
     latency: &LatencyModel,
     cfg: &GlobalConfig,
-    mut rec: Option<&mut Recorder>,
+    mut sink: S,
 ) -> GlobalReport {
     let n_cells = cfg.cells.len();
     let epochs = (cfg.horizon_s / cfg.epoch_s).ceil().max(1.0) as usize;
@@ -905,19 +885,10 @@ fn run_global(
     let mut believed = vec![vec![false; n_cells]; epochs];
     for (fi, f) in cfg.cell_faults.iter().enumerate() {
         let end = f.at_s + f.duration_s;
-        if let Some(r) = rec.as_deref_mut() {
-            // Begin/End pair per fault on the victim cell's track; the
-            // stream is balanced by construction.
-            for (phase, t_s) in [(SpanPhase::Begin, f.at_s), (SpanPhase::End, end)] {
-                r.record(TelemetryEvent {
-                    t_s,
-                    track: cell_track(f.cell),
-                    phase,
-                    name: f.kind.name().into(),
-                    id: fi as u64,
-                    arg: 0,
-                });
-            }
+        // Begin/End pair per fault on the victim cell's track; the
+        // stream is balanced by construction.
+        for (phase, t_s) in [(SpanPhase::Begin, f.at_s), (SpanPhase::End, end)] {
+            sink.emit(t_s, cell_track(f.cell), phase, f.kind.name(), fi as u64, 0);
         }
         match f.kind {
             CellFaultKind::Brownout { fraction } => {
@@ -1080,19 +1051,27 @@ fn run_global(
             s.lb_shed += lb_shed[c];
             s.assigned += assigned;
             if red_in[c] > 0 {
-                emit_instant(&mut rec, t0, cell_track(c), "redirect_in", red_in[c] as i64);
-            }
-            if red_out[c] > 0 {
-                emit_instant(
-                    &mut rec,
+                sink.emit(
                     t0,
                     cell_track(c),
+                    SpanPhase::Instant,
+                    "redirect_in",
+                    0,
+                    red_in[c] as i64,
+                );
+            }
+            if red_out[c] > 0 {
+                sink.emit(
+                    t0,
+                    cell_track(c),
+                    SpanPhase::Instant,
                     "redirect_out",
+                    0,
                     red_out[c] as i64,
                 );
             }
             if lb_shed[c] > 0 {
-                emit_instant(&mut rec, t0, GEO, "lb_shed", lb_shed[c] as i64);
+                sink.emit(t0, GEO, SpanPhase::Instant, "lb_shed", 0, lb_shed[c] as i64);
             }
 
             // Correlated loss: the fraction of the epoch the cell is
@@ -1103,7 +1082,14 @@ fn run_global(
             if lost > 0 {
                 s.infra_lost += lost;
                 s.failed += lost;
-                emit_instant(&mut rec, t0, cell_track(c), "infra_lost", lost as i64);
+                sink.emit(
+                    t0,
+                    cell_track(c),
+                    SpanPhase::Instant,
+                    "infra_lost",
+                    0,
+                    lost as i64,
+                );
             }
             let n_run = assigned - lost;
 
@@ -1217,14 +1203,21 @@ fn run_global(
                         .push((e + 1 + a.provisioning_lag_epochs, delta as usize));
                     s.scale_ups += 1;
                     s.servers_added += delta as u64;
-                    emit_instant(&mut rec, t1, cell_track(c), "autoscale", delta);
+                    sink.emit(t1, cell_track(c), SpanPhase::Instant, "autoscale", 0, delta);
                 } else if delta < 0 && s.active > cell.min_servers {
                     let down = (-delta as usize).min(s.active - cell.min_servers);
                     if down > 0 {
                         s.active -= down;
                         s.scale_downs += 1;
                         s.servers_removed += down as u64;
-                        emit_instant(&mut rec, t1, cell_track(c), "autoscale", -(down as i64));
+                        sink.emit(
+                            t1,
+                            cell_track(c),
+                            SpanPhase::Instant,
+                            "autoscale",
+                            0,
+                            -(down as i64),
+                        );
                     }
                 }
             }

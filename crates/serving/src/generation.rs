@@ -3,13 +3,12 @@
 //! token per member per decode step, and KV-cache HBM reserved at
 //! admission (deferred, never shed, on overflow).
 
-use std::borrow::Cow;
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
 
 use rand::rngs::StdRng;
 use rand::SeedableRng;
-use tpu_telemetry::{EventSink, NullSink, Recorder, SpanPhase, TelemetryEvent, Track};
+use tpu_telemetry::{EventSink, NullSink, Recorder, SpanPhase};
 
 use crate::des::{poisson_arrivals, server_track, validate_requests, ConfigError, FLEET};
 use crate::genmodel::GenerationModel;
@@ -157,8 +156,9 @@ impl GenReport {
 const GEN_TOKEN_SALT: u64 = 0xA076_1D64_78BD_642F;
 
 /// The decode-loop state machine (one replica). Same telemetry contract
-/// as the fleet engine in [`crate::des`]: every instrumentation site is
-/// gated on `S::ENABLED`, so the [`NullSink`] instantiation
+/// as the fleet engine in [`crate::des`]: every instrumentation site
+/// records through [`EventSink::emit`] or sits behind `S::ENABLED`, so
+/// the [`NullSink`] instantiation
 /// monomorphizes to the bare engine and recorded runs return
 /// bit-identical reports.
 ///
@@ -299,28 +299,6 @@ impl<'a, S: EventSink> GenEngine<'a, S> {
         }
     }
 
-    #[inline(always)]
-    fn emit(
-        &mut self,
-        t_s: f64,
-        track: Track,
-        phase: SpanPhase,
-        name: &'static str,
-        id: u64,
-        arg: i64,
-    ) {
-        if S::ENABLED {
-            self.sink.record(TelemetryEvent {
-                t_s,
-                track,
-                phase,
-                name: Cow::Borrowed(name),
-                id,
-                arg,
-            });
-        }
-    }
-
     fn touch(&mut self, now: f64) {
         if now > self.end_time {
             self.end_time = now;
@@ -354,7 +332,7 @@ impl<'a, S: EventSink> GenEngine<'a, S> {
                     // KV is the binding constraint: defer (FIFO order
                     // preserved, no skip-ahead) and account the stall.
                     self.metrics.kv_deferrals.inc();
-                    self.emit(
+                    self.sink.emit(
                         now,
                         FLEET,
                         SpanPhase::Instant,
@@ -376,7 +354,7 @@ impl<'a, S: EventSink> GenEngine<'a, S> {
                 prefill += self.lat.prefill_s(self.prompt[r]);
                 // Residency span: admitted exactly once, so the request
                 // index is a unique begin/end pairing id.
-                self.emit(
+                self.sink.emit(
                     now,
                     server_track(0),
                     SpanPhase::Begin,
@@ -404,7 +382,7 @@ impl<'a, S: EventSink> GenEngine<'a, S> {
     fn launch(&mut self, now: f64, b: u64, step: f64) -> f64 {
         self.steps += 1;
         self.metrics.per_server_busy_s[0] += step;
-        self.emit(
+        self.sink.emit(
             now,
             server_track(0),
             SpanPhase::Instant,
@@ -519,7 +497,8 @@ impl<'a, S: EventSink> GenEngine<'a, S> {
         }
         for r in self.step_first..self.next_admit {
             self.first_token[r] = now;
-            self.emit(now, FLEET, SpanPhase::Instant, "first_token", r as u64, 0);
+            self.sink
+                .emit(now, FLEET, SpanPhase::Instant, "first_token", r as u64, 0);
             let output = self.output[r];
             if output == 1 {
                 self.complete(r, now);
@@ -575,7 +554,7 @@ impl<'a, S: EventSink> GenEngine<'a, S> {
             Some(slo) if ttft > slo => self.metrics.completed_late.inc(),
             _ => self.good += 1,
         }
-        self.emit(
+        self.sink.emit(
             now,
             FLEET,
             SpanPhase::Instant,
@@ -592,7 +571,7 @@ impl<'a, S: EventSink> GenEngine<'a, S> {
         let need = self.kv_need[r];
         debug_assert!(self.kv_reserved >= need, "KV release exceeds reservation");
         self.kv_reserved -= need;
-        self.emit(
+        self.sink.emit(
             now,
             server_track(0),
             SpanPhase::End,
@@ -636,7 +615,7 @@ impl<'a, S: EventSink> GenEngine<'a, S> {
     fn arrive(&mut self, i: usize, now: f64) {
         self.touch(now);
         self.metrics.arrivals.inc();
-        self.emit(
+        self.sink.emit(
             now,
             FLEET,
             SpanPhase::Instant,

@@ -190,25 +190,6 @@ fn chrome_export_of_a_real_run_is_schema_valid() {
 }
 
 #[test]
-fn profiling_attributes_every_dispatched_event() {
-    let (fleet, plan) = chaos_fleet(2000, 3);
-    let mut rec = Recorder::new();
-    rec.enable_profiling(true);
-    let report = simulate_fleet_recorded(&model(), &fleet, &plan, &mut rec).expect("valid");
-    let profiled: u64 = rec.profile_entries().values().map(|e| e.count).sum();
-    assert_eq!(profiled, report.metrics.events_processed.get());
-    for kind in ["arrival", "done", "probe", "fault"] {
-        assert!(
-            rec.profile_entries().contains_key(kind),
-            "missing profile kind {kind}"
-        );
-    }
-    // Profiling must not perturb the simulation either.
-    let plain = simulate_fleet_with_faults(&model(), &fleet, &plan).expect("valid");
-    assert_eq!(plain, report);
-}
-
-#[test]
 fn shed_instants_partition_by_reason() {
     let (_, rec) = recorded_chaos_run(4000, 11);
     // Every queue residency ends in exactly one of: launch (becomes a

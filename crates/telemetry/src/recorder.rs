@@ -1,5 +1,5 @@
-//! The flight recorder: a bounded event ring buffer plus a
-//! counters/gauges registry and a wall-clock profile table.
+//! The flight recorder: a bounded event ring buffer plus a counter
+//! registry.
 
 use std::collections::{BTreeMap, VecDeque};
 
@@ -8,28 +8,7 @@ use crate::event::{SpanPhase, TelemetryEvent};
 /// Default flight-recorder capacity, in events.
 pub const DEFAULT_CAPACITY: usize = 1 << 16;
 
-/// Per-kind wall-clock attribution accumulated via
-/// [`Recorder::profile`].
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct ProfileEntry {
-    /// Occurrences attributed.
-    pub count: u64,
-    /// Total host nanoseconds attributed.
-    pub total_ns: u64,
-}
-
-impl ProfileEntry {
-    /// Mean host nanoseconds per occurrence.
-    pub fn mean_ns(&self) -> f64 {
-        if self.count == 0 {
-            0.0
-        } else {
-            self.total_ns as f64 / self.count as f64
-        }
-    }
-}
-
-/// A bounded flight recorder with a metrics registry.
+/// A bounded flight recorder with a counter registry.
 ///
 /// Events go into a ring buffer that drops the **oldest** record once
 /// `capacity` is reached (the most recent window is what post-mortems
@@ -37,7 +16,7 @@ impl ProfileEntry {
 /// regardless of ring evictions — reconciliation checks use counters,
 /// not the (possibly truncated) ring. Counter keys are the event name
 /// for instants and `name.begin` / `name.end` for span edges, so span
-/// balance is checkable from counters alone. All registries iterate in
+/// balance is checkable from counters alone. Counters iterate in
 /// deterministic (lexicographic) order.
 #[derive(Debug, Clone)]
 pub struct Recorder {
@@ -45,9 +24,6 @@ pub struct Recorder {
     ring: VecDeque<TelemetryEvent>,
     dropped: u64,
     counters: BTreeMap<String, u64>,
-    gauges: BTreeMap<String, f64>,
-    profiling: bool,
-    profile: BTreeMap<&'static str, ProfileEntry>,
 }
 
 impl Default for Recorder {
@@ -70,9 +46,6 @@ impl Recorder {
             ring: VecDeque::new(),
             dropped: 0,
             counters: BTreeMap::new(),
-            gauges: BTreeMap::new(),
-            profiling: false,
-            profile: BTreeMap::new(),
         }
     }
 
@@ -97,11 +70,6 @@ impl Recorder {
         *self.counters.entry(name.to_owned()).or_insert(0) += n;
     }
 
-    /// Set a named gauge to `value` (last write wins).
-    pub fn set_gauge(&mut self, name: &str, value: f64) {
-        self.gauges.insert(name.to_owned(), value);
-    }
-
     /// The exact total for `name` (0 if never seen).
     pub fn counter(&self, name: &str) -> u64 {
         self.counters.get(name).copied().unwrap_or(0)
@@ -110,11 +78,6 @@ impl Recorder {
     /// All counters in lexicographic order.
     pub fn counters(&self) -> &BTreeMap<String, u64> {
         &self.counters
-    }
-
-    /// All gauges in lexicographic order.
-    pub fn gauges(&self) -> &BTreeMap<String, f64> {
-        &self.gauges
     }
 
     /// The retained event window, oldest first.
@@ -140,48 +103,6 @@ impl Recorder {
     /// Ring capacity in events.
     pub fn capacity(&self) -> usize {
         self.capacity
-    }
-
-    /// Turn wall-clock profiling on or off. Off by default: profile
-    /// numbers are host-time and therefore nondeterministic — keep them
-    /// out of anything that must be byte-reproducible.
-    pub fn enable_profiling(&mut self, on: bool) {
-        self.profiling = on;
-    }
-
-    /// Whether wall-clock profiling is on.
-    pub fn profiling(&self) -> bool {
-        self.profiling
-    }
-
-    /// Attribute `nanos` of host time to `kind`.
-    pub fn profile(&mut self, kind: &'static str, nanos: u64) {
-        let e = self.profile.entry(kind).or_default();
-        e.count += 1;
-        e.total_ns += nanos;
-    }
-
-    /// The wall-clock profile, keyed by kind, in lexicographic order.
-    pub fn profile_entries(&self) -> &BTreeMap<&'static str, ProfileEntry> {
-        &self.profile
-    }
-
-    /// Render the profile as an aligned text table, most expensive
-    /// kind first (host time — for humans, not for golden outputs).
-    pub fn profile_report(&self) -> String {
-        let mut rows: Vec<(&&str, &ProfileEntry)> = self.profile.iter().collect();
-        rows.sort_by(|a, b| b.1.total_ns.cmp(&a.1.total_ns).then(a.0.cmp(b.0)));
-        let mut out = String::from("event kind        count    total ms   mean ns\n");
-        for (kind, e) in rows {
-            out.push_str(&format!(
-                "{:<16} {:>8} {:>11.3} {:>9.1}\n",
-                kind,
-                e.count,
-                e.total_ns as f64 / 1e6,
-                e.mean_ns()
-            ));
-        }
-        out
     }
 }
 
@@ -231,31 +152,11 @@ mod tests {
     }
 
     #[test]
-    fn gauges_and_manual_counters() {
+    fn manual_counters_accumulate() {
         let mut r = Recorder::new();
         r.add_counter("events_processed", 41);
         r.add_counter("events_processed", 1);
-        r.set_gauge("availability", 0.5);
-        r.set_gauge("availability", 0.997);
         assert_eq!(r.counter("events_processed"), 42);
-        assert_eq!(r.gauges()["availability"], 0.997);
-    }
-
-    #[test]
-    fn profile_accumulates_and_reports() {
-        let mut r = Recorder::new();
-        assert!(!r.profiling());
-        r.enable_profiling(true);
-        r.profile("done", 100);
-        r.profile("done", 300);
-        r.profile("arrival", 50);
-        let done = r.profile_entries()["done"];
-        assert_eq!(done.count, 2);
-        assert_eq!(done.total_ns, 400);
-        assert!((done.mean_ns() - 200.0).abs() < 1e-12);
-        let report = r.profile_report();
-        // Sorted by total time: done before arrival.
-        assert!(report.find("done").unwrap() < report.find("arrival").unwrap());
     }
 
     #[test]

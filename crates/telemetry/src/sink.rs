@@ -1,17 +1,16 @@
 //! The zero-cost sink trait instrumented code is generic over.
 
-use crate::event::TelemetryEvent;
+use std::borrow::Cow;
+
+use crate::event::{SpanPhase, TelemetryEvent, Track};
 use crate::recorder::Recorder;
 
 /// Receiver for telemetry emitted by instrumented code.
 ///
-/// The associated `ENABLED` constant is the zero-cost switch: emission
-/// sites guard with `if S::ENABLED { ... }`, which the compiler folds
-/// away entirely when the sink is [`NullSink`]. Implementors with
-/// `ENABLED = true` receive every event; [`profile`](EventSink::profile)
-/// additionally receives host-nanosecond attributions when
-/// [`profiling`](EventSink::profiling) returns true (callers are
-/// expected to skip the timing work itself otherwise).
+/// The associated `ENABLED` constant is the zero-cost switch:
+/// [`emit`](EventSink::emit) checks it before building an event, and
+/// the compiler folds the check away entirely when the sink is
+/// [`NullSink`]. Implementors with `ENABLED = true` receive every event.
 pub trait EventSink {
     /// Compile-time switch for all instrumentation.
     const ENABLED: bool;
@@ -20,14 +19,29 @@ pub trait EventSink {
     /// must never influence the caller's control flow.
     fn record(&mut self, ev: TelemetryEvent);
 
-    /// Whether the caller should measure and report wall-clock
-    /// attribution via [`profile`](EventSink::profile).
-    fn profiling(&self) -> bool {
-        false
+    /// Record one statically named event; compiles to nothing when the
+    /// sink is disabled.
+    #[inline(always)]
+    fn emit(
+        &mut self,
+        t_s: f64,
+        track: Track,
+        phase: SpanPhase,
+        name: &'static str,
+        id: u64,
+        arg: i64,
+    ) {
+        if Self::ENABLED {
+            self.record(TelemetryEvent {
+                t_s,
+                track,
+                phase,
+                name: Cow::Borrowed(name),
+                id,
+                arg,
+            });
+        }
     }
-
-    /// Attribute `nanos` of host time to `kind` (e.g. a DES event type).
-    fn profile(&mut self, kind: &'static str, nanos: u64);
 }
 
 /// The disabled sink: every method is an inlined no-op and
@@ -40,9 +54,6 @@ impl EventSink for NullSink {
 
     #[inline(always)]
     fn record(&mut self, _ev: TelemetryEvent) {}
-
-    #[inline(always)]
-    fn profile(&mut self, _kind: &'static str, _nanos: u64) {}
 }
 
 impl EventSink for &mut Recorder {
@@ -51,14 +62,5 @@ impl EventSink for &mut Recorder {
     #[inline]
     fn record(&mut self, ev: TelemetryEvent) {
         Recorder::record(self, ev);
-    }
-
-    fn profiling(&self) -> bool {
-        Recorder::profiling(self)
-    }
-
-    #[inline]
-    fn profile(&mut self, kind: &'static str, nanos: u64) {
-        Recorder::profile(self, kind, nanos);
     }
 }
