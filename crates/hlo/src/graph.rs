@@ -826,36 +826,6 @@ impl Graph {
         }
         uses
     }
-
-    /// Validates internal consistency (operand ordering, outputs exist).
-    ///
-    /// Graphs built through the typed API are always valid; this guards
-    /// hand-constructed or mutated graphs in tests.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`ShapeError::OperandNotBeforeUser`] for the first operand
-    /// that does not precede its user, then
-    /// [`ShapeError::UnknownOutput`] for the first dangling output.
-    pub fn validate(&self) -> Result<(), ShapeError> {
-        for n in &self.nodes {
-            for operand in n.op.operands() {
-                if operand.index() >= n.id.index() {
-                    return Err(ShapeError::OperandNotBeforeUser {
-                        user: n.id.index(),
-                        operand: operand.index(),
-                    });
-                }
-            }
-        }
-        if let Some(&out) = self.outputs.iter().find(|o| o.index() >= self.nodes.len()) {
-            return Err(ShapeError::UnknownOutput {
-                index: out.index(),
-                nodes: self.nodes.len(),
-            });
-        }
-        Ok(())
-    }
 }
 
 impl fmt::Display for Graph {
@@ -909,7 +879,7 @@ mod tests {
         let g = mlp();
         assert_eq!(g.node(OpId(2)).shape.dims(), &[8, 512]);
         assert_eq!(g.node(OpId(5)).shape.dims(), &[8, 10]);
-        g.validate().unwrap();
+        crate::Verifier::new().verify_graph(&g).unwrap();
     }
 
     #[test]
@@ -1145,41 +1115,6 @@ mod tests {
         assert_eq!(g.reshape(x, &[1, 1, 2, 2, 4]), rank5);
         assert_eq!(g.nodes().len(), 1);
         assert!(g.reshape(x, &[1, 2, 2, 4]).is_ok());
-    }
-
-    #[test]
-    fn validate_rejects_a_dangling_output() {
-        let (name, dtype, nodes, _) = mlp().into_parts();
-        let g = Graph::from_parts(&name, dtype, nodes, vec![OpId(5), OpId(99)]);
-        assert_eq!(
-            g.validate(),
-            Err(ShapeError::UnknownOutput {
-                index: 99,
-                nodes: 6
-            })
-        );
-        let msg = format!("{}", g.validate().unwrap_err());
-        assert!(msg.contains("%99") && msg.contains("6 nodes"), "{msg}");
-    }
-
-    #[test]
-    fn validate_rejects_an_operand_after_its_user() {
-        let (name, dtype, mut nodes, outputs) = mlp().into_parts();
-        // The relu (%3) now reads the dot after it (%5).
-        nodes[3].op = HloOp::Activate {
-            input: OpId(5),
-            act: Activation::Relu,
-        };
-        let g = Graph::from_parts(&name, dtype, nodes, outputs);
-        assert_eq!(
-            g.validate(),
-            Err(ShapeError::OperandNotBeforeUser {
-                user: 3,
-                operand: 5
-            })
-        );
-        let msg = format!("{}", g.validate().unwrap_err());
-        assert!(msg.contains("%3") && msg.contains("%5"), "{msg}");
     }
 
     #[test]

@@ -51,10 +51,6 @@ pub struct CompilerOptions {
     pub dce: bool,
     /// Apply algebraic identities (`relu∘relu`, no-op reshapes, ...).
     pub simplify: bool,
-    /// Differentially test every pass rewrite against the reference
-    /// evaluator during compilation. Expensive — executes the graph's
-    /// actual math — so it is a testing/experiment knob, off by default.
-    pub check_equivalence: bool,
     /// Override the CMEM capacity (bytes) for the E6 sweep. The override
     /// resizes a CMEM the chip has; a chip without CMEM plans a budget of
     /// 0 whatever the override says.
@@ -80,7 +76,6 @@ impl CompilerOptions {
             dce: level >= OptLevel::O2,
             simplify: level >= OptLevel::O2,
             cmem: level >= OptLevel::O3,
-            check_equivalence: false,
             cmem_budget_override: None,
             bit_exact_with: None,
         }
@@ -336,20 +331,13 @@ pub fn compile(
     chip: &ChipConfig,
     options: &CompilerOptions,
 ) -> Result<Executable, CompileError> {
-    // The verifier's checks include everything `Graph::validate` checks,
-    // each with its own typed error. The pass manager relies on this
-    // check rather than repeating it.
+    // The pass manager relies on this check rather than repeating it.
     let verifier = Verifier::new();
     verifier.verify_graph(graph)?;
 
-    // Optimizing passes, each gated by the verifier (and optionally by
-    // interpreter-backed differential testing). The manager re-verifies
-    // the fusion analysis against the final graph.
-    let mut manager = passes::pipeline_for(options);
-    if options.check_equivalence {
-        manager = manager.check_equivalence(1e-3);
-    }
-    let report = manager.run_verified(graph)?;
+    // Optimizing passes, each gated by the verifier. The manager
+    // re-verifies the fusion analysis against the final graph.
+    let report = passes::pipeline_for(options).run_verified(graph)?;
     let optimized: &Graph = &report.graph;
     let fusion = report.fusion;
 
@@ -617,17 +605,6 @@ mod tests {
             t_opt < 0.75 * t_naive,
             "optimization should pay on dirty graphs: {t_opt} vs {t_naive}"
         );
-    }
-
-    #[test]
-    fn compile_with_equivalence_checking_succeeds() {
-        let g = dirty_mlp(1);
-        let opts = CompilerOptions {
-            check_equivalence: true,
-            ..CompilerOptions::default()
-        };
-        let exe = compile(&g, &catalog::tpu_v4i(), &opts).unwrap();
-        assert!(!exe.pass_summary().applied.is_empty());
     }
 
     #[test]

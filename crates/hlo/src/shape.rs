@@ -64,21 +64,6 @@ pub enum ShapeError {
         /// Number of nodes in the graph.
         nodes: usize,
     },
-    /// An operand does not precede the node that uses it (node ids must
-    /// be a topological order).
-    OperandNotBeforeUser {
-        /// The using node's raw index.
-        user: usize,
-        /// The operand's raw index.
-        operand: usize,
-    },
-    /// An output id does not name an existing node of this graph.
-    UnknownOutput {
-        /// The offending id's raw index.
-        index: usize,
-        /// Number of nodes in the graph.
-        nodes: usize,
-    },
 }
 
 impl fmt::Display for ShapeError {
@@ -108,12 +93,6 @@ impl fmt::Display for ShapeError {
                 f,
                 "{context}: operand %{index} does not exist ({nodes} nodes)"
             ),
-            ShapeError::OperandNotBeforeUser { user, operand } => {
-                write!(f, "%{user} uses %{operand}, which does not precede it")
-            }
-            ShapeError::UnknownOutput { index, nodes } => {
-                write!(f, "output %{index} does not exist ({nodes} nodes)")
-            }
         }
     }
 }

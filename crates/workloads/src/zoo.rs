@@ -480,7 +480,7 @@ mod tests {
         for app in production_apps() {
             for batch in [1, 4, 16] {
                 let g = app.build(batch).unwrap();
-                g.validate().unwrap();
+                tpu_hlo::Verifier::new().verify_graph(&g).unwrap();
                 assert!(g.flops() > 0, "{}", app.spec.name);
                 assert!(g.weight_count() > 0, "{}", app.spec.name);
             }

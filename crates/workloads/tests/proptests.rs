@@ -14,7 +14,7 @@ proptest! {
         let gb = app.build(batch).unwrap();
         prop_assert_eq!(g1.weight_count(), gb.weight_count());
         prop_assert!(gb.flops() >= g1.flops());
-        gb.validate().unwrap();
+        tpu_hlo::Verifier::new().verify_graph(&gb).unwrap();
     }
 
     /// Growth compounds multiplicatively: m(a+b) = m(a) * m(b).

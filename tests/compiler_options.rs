@@ -1,8 +1,5 @@
 //! The compiler's option space: every combination of `CompilerOptions`
 //! compiles every zoo app and the plan simulates, on every catalog chip.
-//!
-//! `check_equivalence` is left out: it runs the graphs' real math, and
-//! `crates/hlo/tests/passes_props.rs` covers it on random graphs.
 
 use tpugen::arch::{catalog, Generation};
 use tpugen::hlo::passes::{Pass, Simplify};
@@ -36,7 +33,6 @@ fn every_option_set_compiles_and_simulates_every_zoo_app() {
                     fold: on(3),
                     dce: on(4),
                     simplify: on(5),
-                    check_equivalence: false,
                     cmem_budget_override,
                     bit_exact_with,
                 });
