@@ -254,7 +254,7 @@ mod tests {
             lint_file(Path::new("crates/serving/src/des.rs"), src).len(),
             1
         );
-        // The rule covers only the simulator crates.
+        // Non-simulator crates may read the clock.
         assert!(lint_file(Path::new("crates/bench/src/lib.rs"), src).is_empty());
         // Integration tests of simulator crates may too.
         assert!(lint_file(Path::new("crates/sim/tests/t.rs"), src).is_empty());

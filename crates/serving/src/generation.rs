@@ -158,9 +158,8 @@ const GEN_TOKEN_SALT: u64 = 0xA076_1D64_78BD_642F;
 /// The decode-loop state machine (one replica). Same telemetry contract
 /// as the fleet engine in [`crate::des`]: every instrumentation site
 /// records through [`EventSink::emit`] or sits behind `S::ENABLED`, so
-/// the [`NullSink`] instantiation
-/// monomorphizes to the bare engine and recorded runs return
-/// bit-identical reports.
+/// the [`NullSink`] instantiation monomorphizes to the bare engine and
+/// recorded runs return bit-identical reports.
 ///
 /// Only two event sources exist — the next arrival and the end of the
 /// in-flight decode step — so the event loop repeatedly takes the
