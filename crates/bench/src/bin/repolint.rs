@@ -240,11 +240,12 @@ mod tests {
 
     #[test]
     fn spawn_is_flagged_outside_par_only() {
-        let src = format!("fn go() {{ std::{SPAWN_PATTERN}(|| {{}}); }}\n");
-        let v = lint_file(Path::new("crates/sim/src/lib.rs"), &src);
+        // Split so this file does not flag itself.
+        let src = concat!("fn go() { std::thread::", "spawn(|| {}); }\n");
+        let v = lint_file(Path::new("crates/sim/src/lib.rs"), src);
         assert_eq!(v.len(), 1);
         assert_eq!(v[0].rule, Rule::ThreadSpawn);
-        assert!(lint_file(Path::new("crates/par/src/lib.rs"), &src).is_empty());
+        assert!(lint_file(Path::new("crates/par/src/lib.rs"), src).is_empty());
     }
 
     #[test]

@@ -1,7 +1,7 @@
 //! The FNV-1a fold behind the serving engines' pinned constants.
 
 use tpu_serving::metrics::Histogram;
-use tpu_serving::LatencyStats;
+use tpu_serving::{LatencyStats, ServingMetrics};
 use tpu_telemetry::{Recorder, SpanPhase};
 
 /// FNV-1a over little-endian words: folds runs into one constant, so a
@@ -43,6 +43,56 @@ impl Fold {
         for x in [s.mean_s, s.p50_s, s.p95_s, s.p99_s, s.max_s] {
             self.float(x);
         }
+    }
+
+    /// Every `ServingMetrics` counter, in declaration order.
+    pub fn counters(&mut self, m: &ServingMetrics) {
+        for c in [
+            m.arrivals,
+            m.admitted,
+            m.completed,
+            m.completed_late,
+            m.shed_queue_full,
+            m.shed_deadline,
+            m.shed_no_capacity,
+            m.shed_permanent,
+            m.retries,
+            m.retries_exhausted,
+            m.dropped_at_drain,
+            m.failures_injected,
+            m.degrades_injected,
+            m.failures_detected,
+            m.failures_recovered,
+            m.in_flight_failures,
+            m.failed_permanent,
+            m.failover_redistributed,
+            m.events_processed,
+            m.tokens_generated,
+            m.tokens_prefilled,
+            m.decode_steps,
+            m.kv_deferrals,
+        ] {
+            self.word(c.get());
+        }
+    }
+
+    /// The `ServingMetrics` histograms, then the per-server vectors.
+    pub fn metrics_tail(&mut self, m: &ServingMetrics) {
+        for h in [
+            &m.batch_sizes,
+            &m.decode_batch,
+            &m.queue_wait_s,
+            &m.time_to_detect_s,
+            &m.time_to_recover_s,
+        ] {
+            self.histogram(h);
+        }
+        for v in [&m.per_server_busy_s, &m.per_server_down_s] {
+            self.word(v.len() as u64);
+            v.iter().for_each(|&x| self.float(x));
+        }
+        self.word(m.per_server_completed.len() as u64);
+        m.per_server_completed.iter().for_each(|&c| self.word(c));
     }
 
     /// Every retained event (timestamp bits, track, phase, name, id,

@@ -223,48 +223,8 @@ impl Fold {
         ] {
             self.word(w);
         }
-        for c in [
-            m.arrivals,
-            m.admitted,
-            m.completed,
-            m.completed_late,
-            m.shed_queue_full,
-            m.shed_deadline,
-            m.shed_no_capacity,
-            m.shed_permanent,
-            m.retries,
-            m.retries_exhausted,
-            m.dropped_at_drain,
-            m.failures_injected,
-            m.degrades_injected,
-            m.failures_detected,
-            m.failures_recovered,
-            m.in_flight_failures,
-            m.failed_permanent,
-            m.failover_redistributed,
-            m.events_processed,
-            m.tokens_generated,
-            m.tokens_prefilled,
-            m.decode_steps,
-            m.kv_deferrals,
-        ] {
-            self.word(c.get());
-        }
-        for h in [
-            &m.batch_sizes,
-            &m.decode_batch,
-            &m.queue_wait_s,
-            &m.time_to_detect_s,
-            &m.time_to_recover_s,
-        ] {
-            self.histogram(h);
-        }
-        for v in [&m.per_server_busy_s, &m.per_server_down_s] {
-            self.word(v.len() as u64);
-            v.iter().for_each(|&x| self.float(x));
-        }
-        self.word(m.per_server_completed.len() as u64);
-        m.per_server_completed.iter().for_each(|&c| self.word(c));
+        self.counters(m);
+        self.metrics_tail(m);
     }
 }
 

@@ -217,49 +217,9 @@ fn shed_instants_partition_by_reason() {
 
 impl Fold {
     fn metrics(&mut self, m: &ServingMetrics) {
-        for c in [
-            m.arrivals,
-            m.admitted,
-            m.completed,
-            m.completed_late,
-            m.shed_queue_full,
-            m.shed_deadline,
-            m.shed_no_capacity,
-            m.shed_permanent,
-            m.retries,
-            m.retries_exhausted,
-            m.dropped_at_drain,
-            m.failures_injected,
-            m.degrades_injected,
-            m.failures_detected,
-            m.failures_recovered,
-            m.in_flight_failures,
-            m.failed_permanent,
-            m.failover_redistributed,
-            m.events_processed,
-            m.tokens_generated,
-            m.tokens_prefilled,
-            m.decode_steps,
-            m.kv_deferrals,
-        ] {
-            self.word(c.get());
-        }
+        self.counters(m);
         self.word(m.kv_peak_bytes);
-        for h in [
-            &m.batch_sizes,
-            &m.decode_batch,
-            &m.queue_wait_s,
-            &m.time_to_detect_s,
-            &m.time_to_recover_s,
-        ] {
-            self.histogram(h);
-        }
-        for v in [&m.per_server_busy_s, &m.per_server_down_s] {
-            self.word(v.len() as u64);
-            v.iter().for_each(|&x| self.float(x));
-        }
-        self.word(m.per_server_completed.len() as u64);
-        m.per_server_completed.iter().for_each(|&c| self.word(c));
+        self.metrics_tail(m);
     }
 
     fn fleet_report(&mut self, r: &ServingReport) {
