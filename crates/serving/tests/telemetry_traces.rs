@@ -395,12 +395,50 @@ fn faulted_global(failover: bool, seed: u64) -> GlobalConfig {
     }
 }
 
+#[test]
+fn lb_shed_instants_name_their_cell() {
+    // Each `lb_shed` instant's id is the cell whose traffic the balancer
+    // shed, so per cell the recorded args sum to the report's count.
+    // With the autoscaler off, the flash crowd makes every cell shed.
+    let mut shedding_cells = std::collections::BTreeSet::new();
+    for cfg in global_battery() {
+        let mut rec = Recorder::with_capacity(1 << 20);
+        let r = simulate_global_recorded(&model(), &cfg, &mut rec).expect("valid");
+        let mut per_cell = vec![0u64; r.cells.len()];
+        for e in rec.events().filter(|e| e.name == "lb_shed") {
+            per_cell[e.id as usize] += e.arg as u64;
+        }
+        let booked: Vec<u64> = r.cells.iter().map(|c| c.lb_shed).collect();
+        assert_eq!(per_cell, booked, "seed {}", cfg.seed);
+        shedding_cells.extend((0..booked.len()).filter(|&c| booked[c] > 0));
+    }
+    assert_eq!(shedding_cells.len(), 3, "every cell sheds in the battery");
+}
+
+/// [`faulted_global`] at seeds 5 and 6 with geo failover on and off,
+/// then with failover on and the autoscaler off, which leaves every
+/// cell short of capacity under the flash crowd.
+fn global_battery() -> Vec<GlobalConfig> {
+    let mut battery = Vec::new();
+    for failover in [true, false] {
+        for seed in [5, 6] {
+            battery.push(faulted_global(failover, seed));
+        }
+    }
+    for seed in [5, 6] {
+        let mut cfg = faulted_global(true, seed);
+        cfg.autoscaler.enabled = false;
+        battery.push(cfg);
+    }
+    battery
+}
+
 /// Pins the fleet engine's and the global fleet layer's observable
 /// behaviour: every report bit and every recorded event and counter,
 /// over chaos fleets at three seeds, a protected and an unprotected
 /// overload fleet, and global runs through an outage, a brownout and a
-/// partition with the autoscaler on and geo failover on and off. A
-/// change that keeps behaviour must leave the constant unchanged.
+/// partition ([`global_battery`]). A change that keeps behaviour must
+/// leave the constant unchanged.
 #[test]
 fn fleet_and_global_streams_are_pinned() {
     let mut fold = Fold(0xcbf2_9ce4_8422_2325);
@@ -419,25 +457,22 @@ fn fleet_and_global_streams_are_pinned() {
         fold.recording(&rec);
     }
     let mut fired = std::collections::BTreeSet::new();
-    for failover in [true, false] {
-        for seed in [5, 6] {
-            let cfg = faulted_global(failover, seed);
-            let plain = simulate_global(&model(), &cfg).expect("valid global config");
-            let mut rec = Recorder::with_capacity(1 << 20);
-            let recorded = simulate_global_recorded(&model(), &cfg, &mut rec).expect("valid");
-            assert_eq!(plain, recorded);
-            assert_eq!(rec.dropped(), 0);
-            fold.global_report(&plain);
-            fold.recording(&rec);
-            fired.extend(rec.events().map(|e| e.name.to_string()));
-        }
+    for cfg in global_battery() {
+        let plain = simulate_global(&model(), &cfg).expect("valid global config");
+        let mut rec = Recorder::with_capacity(1 << 20);
+        let recorded = simulate_global_recorded(&model(), &cfg, &mut rec).expect("valid");
+        assert_eq!(plain, recorded);
+        assert_eq!(rec.dropped(), 0);
+        fold.global_report(&plain);
+        fold.recording(&rec);
+        fired.extend(rec.events().map(|e| e.name.to_string()));
     }
     // The battery reaches the global emit sites it claims to pin.
     for name in ["redirect_in", "lb_shed", "infra_lost", "autoscale"] {
         assert!(fired.contains(name), "battery never fires {name}");
     }
     assert_eq!(
-        fold.0, 0xd8e2_4067_3391_674b,
+        fold.0, 0xb617_9186_e06d_3153,
         "fleet and global pin moved: got {:#018x}",
         fold.0
     );
