@@ -24,6 +24,9 @@ pub struct Recorder {
     ring: VecDeque<TelemetryEvent>,
     dropped: u64,
     counters: BTreeMap<String, u64>,
+    /// Reused buffer for span-edge counter keys, so recording an event
+    /// allocates only when it inserts a new counter.
+    key: String,
 }
 
 impl Default for Recorder {
@@ -46,18 +49,26 @@ impl Recorder {
             ring: VecDeque::new(),
             dropped: 0,
             counters: BTreeMap::new(),
+            key: String::new(),
         }
     }
 
     /// Record one event: bump its counter and append it to the ring,
     /// evicting the oldest record if the ring is full.
     pub fn record(&mut self, ev: TelemetryEvent) {
-        let key = match ev.phase {
-            SpanPhase::Begin => format!("{}.begin", ev.name),
-            SpanPhase::End => format!("{}.end", ev.name),
-            SpanPhase::Instant => ev.name.to_string(),
+        let key: &str = match ev.phase {
+            SpanPhase::Instant => &ev.name,
+            edge => {
+                self.key.clear();
+                self.key.push_str(&ev.name);
+                self.key.push_str(match edge {
+                    SpanPhase::Begin => ".begin",
+                    _ => ".end",
+                });
+                &self.key
+            }
         };
-        *self.counters.entry(key).or_insert(0) += 1;
+        bump(&mut self.counters, key, 1);
         if self.ring.len() == self.capacity {
             self.ring.pop_front();
             self.dropped += 1;
@@ -67,7 +78,7 @@ impl Recorder {
 
     /// Add `n` to a named counter without recording an event.
     pub fn add_counter(&mut self, name: &str, n: u64) {
-        *self.counters.entry(name.to_owned()).or_insert(0) += n;
+        bump(&mut self.counters, name, n);
     }
 
     /// The exact total for `name` (0 if never seen).
@@ -103,6 +114,17 @@ impl Recorder {
     /// Ring capacity in events.
     pub fn capacity(&self) -> usize {
         self.capacity
+    }
+}
+
+/// Adds `n` to counter `key`, allocating its owned key only on the
+/// first insert.
+fn bump(counters: &mut BTreeMap<String, u64>, key: &str, n: u64) {
+    match counters.get_mut(key) {
+        Some(total) => *total += n,
+        None => {
+            counters.insert(key.to_owned(), n);
+        }
     }
 }
 
