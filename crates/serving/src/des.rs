@@ -961,17 +961,14 @@ pub fn simulate_fleet_with_faults(
 ) -> Result<ServingReport, ConfigError> {
     cfg.validate()?;
     plan.validate(cfg.pool.servers)?;
-    Ok(Engine::new(latency, cfg, plan, NullSink).run())
+    Ok(Engine::new(latency, cfg, plan, NullSink, Vec::new()).run())
 }
 
 /// [`simulate_fleet_with_faults`] plus the raw end-to-end latency
 /// samples of every completed request (seconds, in completion order;
-/// `samples.len() == report.completed`).
-///
-/// The global fleet layer ([`crate::fleet`]) uses the samples to apply
-/// cross-cell redirect latency penalties and to fold exact global
-/// percentiles across cells without losing per-request resolution. The
-/// report is bit-identical to the sample-less entry point's.
+/// `samples.len() == report.completed`), for callers that post-process
+/// per-request latencies. The report is bit-identical to the
+/// sample-less entry point's.
 ///
 /// # Errors
 ///
@@ -983,7 +980,53 @@ pub fn simulate_fleet_samples(
 ) -> Result<(ServingReport, Vec<f64>), ConfigError> {
     cfg.validate()?;
     plan.validate(cfg.pool.servers)?;
-    Ok(Engine::new(latency, cfg, plan, NullSink).run_with_samples())
+    Ok(Engine::new(latency, cfg, plan, NullSink, Vec::new()).run_with_samples())
+}
+
+/// What one cell epoch of the global fleet ([`crate::fleet`]) reads
+/// back from its DES run: outcome counts, metrics and utilization. It
+/// holds no latency statistics; the caller owns the samples.
+pub(crate) struct CellEpoch {
+    pub(crate) completed: usize,
+    pub(crate) shed: usize,
+    pub(crate) dropped: usize,
+    pub(crate) failed: usize,
+    /// [`ServingReport::server_utilization`].
+    pub(crate) utilization: f64,
+    pub(crate) metrics: ServingMetrics,
+}
+
+/// Runs [`simulate_fleet_with_faults`]'s engine for one global-fleet
+/// cell epoch. It appends the end-to-end latency of every completed
+/// request to `samples` (seconds, in completion order, after what the
+/// buffer already holds) and computes no per-run latency statistics.
+/// The counts, metrics and utilization are bit-identical to the
+/// [`ServingReport`] of the same run.
+///
+/// # Errors
+///
+/// [`ConfigError`] for degenerate serving configurations or fault plans.
+pub(crate) fn simulate_cell_epoch(
+    latency: &LatencyModel,
+    cfg: &FleetConfig,
+    plan: &FaultPlan,
+    samples: &mut Vec<f64>,
+) -> Result<CellEpoch, ConfigError> {
+    cfg.validate()?;
+    plan.validate(cfg.pool.servers)?;
+    let mut engine = Engine::new(latency, cfg, plan, NullSink, std::mem::take(samples));
+    engine.run_events();
+    let dropped = engine.settle();
+    let utilization = engine.utilization();
+    *samples = engine.latencies;
+    Ok(CellEpoch {
+        completed: engine.completed,
+        shed: engine.shed,
+        dropped,
+        failed: engine.failed,
+        utilization,
+        metrics: engine.metrics,
+    })
 }
 
 /// Everything [`simulate_fleet_with_faults`] does, with the full request
@@ -1008,7 +1051,7 @@ pub fn simulate_fleet_recorded(
 ) -> Result<ServingReport, ConfigError> {
     cfg.validate()?;
     plan.validate(cfg.pool.servers)?;
-    let report = Engine::new(latency, cfg, plan, &mut *recorder).run();
+    let report = Engine::new(latency, cfg, plan, &mut *recorder, Vec::new()).run();
     recorder.add_counter("events_processed", report.metrics.events_processed.get());
     Ok(report)
 }
@@ -1098,14 +1141,18 @@ struct Engine<'a, S: EventSink> {
 }
 
 impl<'a, S: EventSink> Engine<'a, S> {
+    /// An engine that appends completion latencies to `latencies`, after
+    /// what it already holds; it reserves room for every request first.
     fn new(
         latency: &'a LatencyModel,
         cfg: &FleetConfig,
         plan: &FaultPlan,
         sink: S,
+        mut latencies: Vec<f64>,
     ) -> Engine<'a, S> {
         let base = &cfg.pool.base;
         let n = base.requests;
+        latencies.reserve(n);
         assert!(n < u32::MAX as usize, "request ids are u32");
         assert!(cfg.pool.servers < 1 << 29, "server ids pack into 29 bits");
         let queue_budget = if cfg.policy.shed_expired {
@@ -1137,7 +1184,7 @@ impl<'a, S: EventSink> Engine<'a, S> {
             queue_budget,
             scratch_entries: Vec::new(),
             queued_live: 0,
-            latencies: Vec::with_capacity(n),
+            latencies,
             completed: 0,
             good: 0,
             shed: 0,
@@ -1710,10 +1757,15 @@ impl<'a, S: EventSink> Engine<'a, S> {
     }
 
     /// [`Self::run`] plus the raw completion-latency samples (seconds,
-    /// in completion order, one per completed request) — the global
-    /// fleet layer needs per-request samples to apply cross-cell
-    /// redirect penalties and fold exact global percentiles.
+    /// in completion order, one per completed request).
     fn run_with_samples(mut self) -> (ServingReport, Vec<f64>) {
+        self.run_events();
+        self.finish()
+    }
+
+    /// Seeds the first arrival, the faults and the first probe, then
+    /// processes events until the heap empties.
+    fn run_events(&mut self) {
         let first = self.arrivals[0];
         self.push_event(first, Event::Arrival(0));
         for fi in 0..self.faults.len() {
@@ -1727,7 +1779,6 @@ impl<'a, S: EventSink> Engine<'a, S> {
         while let Some((now, event)) = self.next_event() {
             self.process_one(now, event);
         }
-        self.finish()
     }
 
     /// Accounts and applies one popped event (the hot-loop body).
@@ -1889,10 +1940,10 @@ impl<'a, S: EventSink> Engine<'a, S> {
         }
     }
 
-    /// Post-loop accounting: drain leftovers as dropped, close any
-    /// still-open telemetry spans, and assemble the report (plus the
-    /// raw completion-latency samples, in completion order).
-    fn finish(mut self) -> (ServingReport, Vec<f64>) {
+    /// Post-loop accounting: drain leftovers as dropped, book the
+    /// downtime of servers still down, and close any still-open
+    /// telemetry spans. Returns the dropped count.
+    fn settle(&mut self) -> usize {
         let n = self.cfg.pool.base.requests;
         // End-of-run telemetry is stamped at or after every event the
         // stream already holds (late timers can pop past `end_time`).
@@ -1946,19 +1997,31 @@ impl<'a, S: EventSink> Engine<'a, S> {
             self.end_down_span(s, stamp);
             self.metrics.per_server_down_s[s] = self.servers[s].down_total_s.min(end.max(0.0));
         }
+        dropped
+    }
 
-        let stats = LatencyStats::from_samples(&self.latencies);
+    /// Fraction of the run the servers were busy.
+    fn utilization(&self) -> f64 {
         let total_time = self.end_time.max(1e-12);
         let servers = self.cfg.pool.servers;
         let busy_total: f64 = self.metrics.per_server_busy_s.iter().sum();
+        (busy_total / (total_time * servers as f64)).clamp(0.0, 1.0)
+    }
+
+    /// [`Self::settle`], then the report and the raw completion-latency
+    /// samples, in completion order.
+    fn finish(mut self) -> (ServingReport, Vec<f64>) {
+        let dropped = self.settle();
+        let stats = LatencyStats::from_samples(&self.latencies);
+        let total_time = self.end_time.max(1e-12);
         let report = ServingReport {
             p50_s: stats.p50_s,
             p99_s: stats.p99_s,
             throughput_rps: self.completed as f64 / total_time,
             goodput_rps: self.good as f64 / total_time,
             mean_batch: self.metrics.batch_sizes.mean(),
-            server_utilization: (busy_total / (total_time * servers as f64)).clamp(0.0, 1.0),
-            arrivals: n,
+            server_utilization: self.utilization(),
+            arrivals: self.cfg.pool.base.requests,
             completed: self.completed,
             shed: self.shed,
             dropped,

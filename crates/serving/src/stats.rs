@@ -28,6 +28,15 @@ impl LatencyStats {
     ///
     /// Returns all-zero stats for an empty input.
     pub fn from_samples(samples: &[f64]) -> LatencyStats {
+        LatencyStats::from_scratch(&mut samples.to_vec())
+    }
+
+    /// [`LatencyStats::from_samples`] on a buffer the caller gives up:
+    /// it selects in `samples` itself instead of a copy, and leaves them
+    /// in an unspecified order. The mean sums `samples` in their given
+    /// order first, so the result is bit-identical to
+    /// `from_samples(samples)`.
+    pub(crate) fn from_scratch(samples: &mut [f64]) -> LatencyStats {
         if samples.is_empty() {
             return LatencyStats {
                 n: 0,
@@ -47,7 +56,7 @@ impl LatencyStats {
         let mut sum = 0.0f64;
         let mut max_s = f64::NEG_INFINITY;
         let mut all_nonneg = true;
-        for s in samples {
+        for s in samples.iter() {
             sum += s;
             if s.total_cmp(&max_s) == Ordering::Greater {
                 max_s = *s;
@@ -56,14 +65,15 @@ impl LatencyStats {
         }
         // For non-negative samples (every latency the engines record),
         // `total_cmp` coincides exactly with the unsigned order of the
-        // IEEE-754 bit patterns, so selection can run on `u64` keys with
-        // plain integer compares. The percentiles picked are
-        // bit-identical to the f64 path's.
+        // IEEE-754 bit patterns, so selection can compare `u64` keys
+        // with plain integer compares. Elements equal under either order
+        // have identical bits, so the percentiles picked are
+        // bit-identical to the `total_cmp` path's whatever the order the
+        // selection leaves behind.
         let [p50_s, p95_s, p99_s] = if all_nonneg {
-            let mut scratch: Vec<u64> = samples.iter().map(|s| s.to_bits()).collect();
-            select_percentiles(&mut scratch, u64::cmp).map(f64::from_bits)
+            select_percentiles(samples, |a, b| a.to_bits().cmp(&b.to_bits()))
         } else {
-            select_percentiles(&mut samples.to_vec(), f64::total_cmp)
+            select_percentiles(samples, f64::total_cmp)
         };
         LatencyStats {
             n,
@@ -80,7 +90,7 @@ impl LatencyStats {
 /// in ascending order. Each selection leaves every element from its
 /// index on at least the element it picked, so the next, higher rank
 /// is selected in that tail alone.
-fn select_percentiles<T: Copy>(scratch: &mut [T], cmp: impl Fn(&T, &T) -> Ordering) -> [T; 3] {
+fn select_percentiles(scratch: &mut [f64], cmp: impl Fn(&f64, &f64) -> Ordering) -> [f64; 3] {
     let n = scratch.len();
     let mut from = 0;
     [0.50, 0.95, 0.99].map(|q| {
@@ -168,13 +178,19 @@ mod tests {
                 (0..n).map(|_| rng.gen_range(-1.0..1.0)).collect(),
             ];
             for samples in &inputs {
-                let got = LatencyStats::from_samples(samples);
                 let want = sorted_reference(samples);
                 let bits = |s: &LatencyStats| {
                     [s.mean_s, s.p50_s, s.p95_s, s.p99_s, s.max_s].map(f64::to_bits)
                 };
-                assert_eq!(got.n, want.n);
-                assert_eq!(bits(&got), bits(&want), "n {n}: {samples:?}");
+                // The copying entry point, and selection in place on
+                // a buffer the caller gives up.
+                for got in [
+                    LatencyStats::from_samples(samples),
+                    LatencyStats::from_scratch(&mut samples.clone()),
+                ] {
+                    assert_eq!(got.n, want.n);
+                    assert_eq!(bits(&got), bits(&want), "n {n}: {samples:?}");
+                }
             }
         }
     }
