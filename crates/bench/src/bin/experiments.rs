@@ -6,7 +6,7 @@
 //! experiments            # run everything (E1..E14)
 //! experiments e5 e6      # run a subset
 //! experiments --list     # list experiment ids
-//! experiments --ablations  # also run the design-choice ablations A1-A3
+//! experiments --ablations  # also run the design-choice ablations A1-A4
 //! experiments --quick    # the fast deterministic subset (golden tests)
 //! experiments --jobs 4   # run experiments on 4 worker threads
 //! ```

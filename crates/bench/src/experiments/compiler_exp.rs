@@ -10,9 +10,9 @@
 //! shape real exporters emit — then compiled twice per generation:
 //! once with the frozen-binary stand-in (the O0 pipeline: what you get
 //! if you never recompile) and once with that generation's own pipeline
-//! ([`CompilerOptions::for_chip`]): fusion on TPUv2, plus constant
-//! folding / DCE / simplification on TPUv3, plus CMEM placement on
-//! TPUv4i. Every optimized compile is gated by the graph verifier and
+//! ([`CompilerOptions::for_chip`]): fusion on TPUv2, plus double
+//! buffering and constant folding / DCE / simplification on TPUv3, plus
+//! CMEM placement on TPUv4i. Every optimized compile is gated by the graph verifier and
 //! the cost-model cross-check (`tpu_hlo::verify`, `tpu_hlo::passes`).
 //!
 //! The per-generation speedup envelopes fold the whole app zoo, so the
@@ -144,11 +144,11 @@ pub fn e26_compiler() -> String {
     let mut s = Table::new(&["chip", "pipeline", "speedup (zoo envelope)"]);
     for (g, chip) in gains.iter().zip(e26_chips()) {
         let opts = CompilerOptions::for_chip(&chip);
-        let pipeline = match (opts.fusion, opts.fold, opts.cmem) {
-            (false, _, _) => "O0 (none)",
-            (true, false, _) => "O1 (+fusion)",
-            (true, true, false) => "O2 (+fold/dce/simplify)",
-            (true, true, true) => "O3 (+cmem)",
+        let pipeline = match opts.level {
+            OptLevel::O0 => "O0 (none)",
+            OptLevel::O1 => "O1 (+fusion)",
+            OptLevel::O2 => "O2 (+fold/dce/simplify)",
+            OptLevel::O3 => "O3 (+cmem)",
         };
         s.row(vec![
             g.chip.clone(),

@@ -24,11 +24,13 @@
 //!    simulator *and* a schematic [`tpu_isa::Program`] in the target
 //!    generation's binary encoding.
 //!
-//! The passes can be enabled one at a time ([`CompilerOptions::level`]),
-//! which is how experiment E7 regenerates the paper's "compiler gains
-//! over time" figure, and [`CompilerOptions::for_chip`] maps each
-//! generation to the pipeline contemporary to it — the machinery behind
-//! E26's replay of Lesson 2; `CompilerOptions::bit_exact_with`
+//! One knob, the optimization level ([`CompilerOptions::level`]), turns
+//! the optimizations on cumulatively: O1 adds fusion, O2 adds double
+//! buffering and constant folding, simplification and DCE, O3 adds CMEM
+//! placement. That is how experiment E7 regenerates the paper's
+//! "compiler gains over time" figure, and [`CompilerOptions::for_chip`]
+//! maps each generation to the level contemporary to it — the machinery
+//! behind E26's replay of Lesson 2; `CompilerOptions::bit_exact_with`
 //! implements the backwards-ML-compatibility mode of E14.
 //!
 //! # Example

@@ -18,7 +18,7 @@ use crate::fusion::FusionMap;
 use crate::graph::{Graph, HloOp, Node, OpId};
 use crate::liveness;
 use crate::memory::MemoryPlan;
-use crate::pipeline::CompilerOptions;
+use crate::pipeline::{CompilerOptions, OptLevel};
 
 /// Intermediates larger than this fraction of VMEM spill to HBM (the
 /// rest of VMEM is needed for weight tiles and double buffering).
@@ -99,7 +99,7 @@ pub fn lower(
         chip,
         fusion,
         memory,
-        options,
+        double_buffer: options.level >= OptLevel::O2,
         plan: StepPlan::with_capacity(graph.name(), steps, 2 * steps),
         program: Program::with_capacity(chip.generation, bundles),
         produced: vec![(0, 0); n],
@@ -208,15 +208,15 @@ fn column_tiling(chip: &ChipConfig, memory: &MemoryPlan, cols: u64) -> (u64, u64
 /// array vs everyone else's 128), the compiler must pop partial sums
 /// after each inner tile and merge them on the VPU in the compat order.
 pub fn needs_accum_emulation(chip: &ChipConfig, compat: Option<Generation>) -> bool {
-    match compat {
-        None => false,
-        Some(generation) => {
-            let compat_dim = match generation {
-                Generation::TpuV1 => 256,
-                _ => 128,
-            };
-            compat_dim != chip.mxu_dim
-        }
+    compat.is_some_and(|generation| compat_mxu_dim(generation) != chip.mxu_dim)
+}
+
+/// The systolic array width whose accumulation order bit-exact mode
+/// reproduces for a compat generation: TPUv1's 256, everyone else's 128.
+pub(crate) fn compat_mxu_dim(generation: Generation) -> u32 {
+    match generation {
+        Generation::TpuV1 => 256,
+        _ => 128,
     }
 }
 
@@ -225,7 +225,9 @@ struct Ctx<'a> {
     chip: &'a ChipConfig,
     fusion: &'a FusionMap,
     memory: &'a MemoryPlan,
-    options: &'a CompilerOptions,
+    /// Whether a weight tile's DMA may start before the previous
+    /// chunk's compute ends (O2 and above).
+    double_buffer: bool,
     plan: StepPlan,
     program: Program,
     /// The steps that produce each unfused node's value in VMEM, as a
@@ -446,16 +448,12 @@ impl Ctx<'_> {
     }
 
     /// Where a matmul's right-hand operand comes from: constants stream
-    /// from their planned home (HBM or CMEM); computed operands are
-    /// already in VMEM.
+    /// from their home in the memory plan (HBM or CMEM); computed
+    /// operands are already in VMEM.
     fn weight_source(&self, id: OpId) -> WeightSource {
         let (a, b) = self.produced[self.value_of(id).index()];
         if matches!(self.graph.node(id).op, HloOp::Constant) {
-            if self.options.cmem {
-                WeightSource::Streamed(self.memory.weight_home(id))
-            } else {
-                WeightSource::Streamed(MemLevel::Hbm)
-            }
+            WeightSource::Streamed(self.memory.weight_home(id))
         } else if a == b {
             // A parameter used directly as weights: stream from HBM.
             WeightSource::Streamed(MemLevel::Hbm)
@@ -528,7 +526,7 @@ impl Ctx<'_> {
                     let wbytes = inner * this_cols * dtype.size_bytes();
                     // Weight tile DMA. Without double buffering it waits
                     // for the previous chunk's compute.
-                    let wdeps = if self.options.double_buffer {
+                    let wdeps = if self.double_buffer {
                         &[]
                     } else {
                         prev_compute.as_slice()
@@ -624,13 +622,15 @@ mod tests {
         g
     }
 
+    /// Lowers with the fusion map and memory plan `compile` would use
+    /// at `opt`'s level, without running the graph passes.
     fn lower_with(g: &Graph, chip: &tpu_arch::ChipConfig, opt: &CompilerOptions) -> Lowered {
-        let f = if opt.fusion {
+        let f = if opt.level >= OptLevel::O1 {
             fuse(g)
         } else {
             FusionMap::default()
         };
-        let m = memory::plan(g, chip, opt.cmem_budget_override);
+        let m = memory::plan(g, chip, Some(opt.cmem_budget(chip)));
         lower(g, chip, &f, &m, opt)
     }
 
@@ -699,10 +699,10 @@ mod tests {
         let d = g.dot(x, w).unwrap();
         g.mark_output(d);
         let chip = catalog::tpu_v4i();
-        let mut on = CompilerOptions::no_cmem();
-        on.double_buffer = true;
-        let mut off = CompilerOptions::no_cmem();
-        off.double_buffer = false;
+        // O2 adds double buffering to O1; lowering runs no graph passes,
+        // so it is the only difference here.
+        let on = CompilerOptions::level(OptLevel::O2);
+        let off = CompilerOptions::level(OptLevel::O1);
         let sim = Simulator::new(chip.clone());
         let t_on = sim.run(&lower_with(&g, &chip, &on).plan).unwrap().seconds;
         let t_off = sim.run(&lower_with(&g, &chip, &off).plan).unwrap().seconds;
@@ -716,12 +716,8 @@ mod tests {
     fn fusion_removes_standalone_vpu_round_trips() {
         let g = simple_graph();
         let chip = catalog::tpu_v4i();
-        let no_fuse = CompilerOptions {
-            fusion: false,
-            ..CompilerOptions::default()
-        };
-        let fused = lower_with(&g, &chip, &CompilerOptions::default());
-        let unfused = lower_with(&g, &chip, &no_fuse);
+        let fused = lower_with(&g, &chip, &CompilerOptions::level(OptLevel::O1));
+        let unfused = lower_with(&g, &chip, &CompilerOptions::level(OptLevel::O0));
         let count = |l: &Lowered, tag: &str| l.plan.steps().iter().filter(|s| s.tag == tag).count();
         assert_eq!(count(&fused, "fused"), 1);
         assert_eq!(count(&fused, "act"), 0);

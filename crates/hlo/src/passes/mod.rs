@@ -38,7 +38,7 @@ use std::fmt;
 use crate::eval::{self, Divergence, EvalError, EvalOptions};
 use crate::fusion::FusionMap;
 use crate::graph::{Graph, HloOp, OpId};
-use crate::pipeline::CompilerOptions;
+use crate::pipeline::{CompilerOptions, OptLevel};
 use crate::verify::{Verifier, VerifyError};
 
 /// What one pass produced.
@@ -347,23 +347,20 @@ pub(crate) struct Optimized<'g> {
 }
 
 /// The graph-pass pipeline a set of compiler options selects, in the
-/// order `compile` runs it. Verification is always on; differential
-/// testing is opt-in via [`PassManager::check_equivalence`].
+/// order `compile` runs it: nothing at O0, fusion at O1, and constant
+/// folding, simplification and DCE ahead of fusion from O2 up.
+/// Verification is always on; differential testing is opt-in via
+/// [`PassManager::check_equivalence`].
 pub fn pipeline_for(options: &CompilerOptions) -> PassManager {
-    let mut pm = PassManager::new();
-    if options.fold {
-        pm = pm.with_pass(ConstantFold);
+    match options.level {
+        OptLevel::O0 => PassManager::new(),
+        OptLevel::O1 => PassManager::new().with_pass(FusionPass),
+        OptLevel::O2 | OptLevel::O3 => PassManager::new()
+            .with_pass(ConstantFold)
+            .with_pass(Simplify)
+            .with_pass(Dce)
+            .with_pass(FusionPass),
     }
-    if options.simplify {
-        pm = pm.with_pass(Simplify);
-    }
-    if options.dce {
-        pm = pm.with_pass(Dce);
-    }
-    if options.fusion {
-        pm = pm.with_pass(FusionPass);
-    }
-    pm
 }
 
 /// `(MXU flops, total flops)` over the nodes reachable from the

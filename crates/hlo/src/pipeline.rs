@@ -16,14 +16,16 @@ use crate::shape::ShapeError;
 use crate::verify::{Verifier, VerifyError};
 
 /// Optimization maturity levels, standing in for "XLA releases over
-/// time" in the compiler-gains experiment (E7).
+/// time" in the compiler-gains experiment (E7). The levels are
+/// cumulative: each one keeps everything the levels below it do.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub enum OptLevel {
-    /// Naive lowering: no fusion, no double buffering, no CMEM use.
+    /// Naive lowering: no graph passes, no double buffering, no CMEM use.
     O0,
     /// Adds operator fusion.
     O1,
-    /// Adds double-buffered weight streaming.
+    /// Adds double-buffered weight streaming and the graph cleanups:
+    /// constant folding, algebraic simplification and DCE.
     O2,
     /// Adds CMEM weight placement (full pipeline; the default).
     O3,
@@ -37,23 +39,13 @@ impl OptLevel {
 /// Knobs of the compilation pipeline.
 #[derive(Debug, Clone, PartialEq)]
 pub struct CompilerOptions {
-    /// Fuse elementwise consumers into matrix producers.
-    pub fusion: bool,
-    /// Overlap weight-tile DMA with compute.
-    pub double_buffer: bool,
-    /// Place weights into CMEM when the chip has one.
-    pub cmem: bool,
-    /// Fold `Reshape(Constant)` into `Constant` (re-enables CMEM
-    /// placement for weights a frontend stored flattened).
-    pub fold: bool,
-    /// Remove dead code (frees CMEM budget squatted on by orphaned
-    /// constants; parameters always survive).
-    pub dce: bool,
-    /// Apply algebraic identities (`relu∘relu`, no-op reshapes, ...).
-    pub simplify: bool,
+    /// The optimization level: it selects the graph passes
+    /// ([`crate::passes::pipeline_for`]), double buffering and CMEM
+    /// placement.
+    pub level: OptLevel,
     /// Override the CMEM capacity (bytes) for the E6 sweep. The override
     /// resizes a CMEM the chip has; a chip without CMEM plans a budget of
-    /// 0 whatever the override says.
+    /// 0 whatever the override says. Below O3 no weight goes to CMEM.
     pub cmem_budget_override: Option<u64>,
     /// Reproduce another generation's accumulation numerics bit-exactly
     /// (backwards ML compatibility, Lesson 4 / E14).
@@ -70,12 +62,7 @@ impl CompilerOptions {
     /// The options corresponding to an optimization maturity level.
     pub fn level(level: OptLevel) -> CompilerOptions {
         CompilerOptions {
-            fusion: level >= OptLevel::O1,
-            double_buffer: level >= OptLevel::O2,
-            fold: level >= OptLevel::O2,
-            dce: level >= OptLevel::O2,
-            simplify: level >= OptLevel::O2,
-            cmem: level >= OptLevel::O3,
+            level,
             cmem_budget_override: None,
             bit_exact_with: None,
         }
@@ -98,12 +85,9 @@ impl CompilerOptions {
     }
 
     /// Full pipeline but with CMEM disabled (useful on chips without one
-    /// and as the E6 baseline).
+    /// and as the E6 baseline): O2, which is O3 without CMEM placement.
     pub fn no_cmem() -> CompilerOptions {
-        CompilerOptions {
-            cmem: false,
-            ..CompilerOptions::default()
-        }
+        CompilerOptions::level(OptLevel::O2)
     }
 
     /// Full pipeline with an explicit CMEM budget in bytes (E6 sweep).
@@ -111,6 +95,17 @@ impl CompilerOptions {
         CompilerOptions {
             cmem_budget_override: Some(bytes),
             ..CompilerOptions::default()
+        }
+    }
+
+    /// The CMEM bytes `compile` plans weights into on `chip`: the chip's
+    /// budget ([`memory::cmem_budget`]) at O3, and 0 below it, so that
+    /// no weight is homed in CMEM and lowering streams each from HBM.
+    pub(crate) fn cmem_budget(&self, chip: &ChipConfig) -> u64 {
+        if self.level >= OptLevel::O3 {
+            memory::cmem_budget(chip, self.cmem_budget_override)
+        } else {
+            0
         }
     }
 }
@@ -277,11 +272,11 @@ impl Executable {
     /// The fp32 accumulation order this executable's matmuls follow: the
     /// compat generation's order in bit-exact mode, else the chip's own.
     pub fn accum_order(&self) -> AccumOrder {
-        match self.options.bit_exact_with {
-            Some(Generation::TpuV1) => AccumOrder::systolic(256),
-            Some(_) => AccumOrder::systolic(128),
-            None => AccumOrder::systolic(self.mxu_dim as usize),
-        }
+        let width = self
+            .options
+            .bit_exact_with
+            .map_or(self.mxu_dim, lower::compat_mxu_dim);
+        AccumOrder::systolic(width as usize)
     }
 
     /// Analytic latency estimate for this executable on a chip (see
@@ -349,13 +344,7 @@ pub fn compile(
         });
     }
 
-    // With CMEM disabled the plan's budget is zero, so the recorded
-    // residency matches what lowering will actually use.
-    let cmem_budget = if options.cmem {
-        memory::cmem_budget(chip, options.cmem_budget_override)
-    } else {
-        0
-    };
+    let cmem_budget = options.cmem_budget(chip);
     let memory = memory::plan(optimized, chip, Some(cmem_budget));
     verifier.verify_memory(optimized, &memory, cmem_budget)?;
 

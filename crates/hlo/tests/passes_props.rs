@@ -9,8 +9,8 @@ use proptest::prelude::*;
 
 use tpu_hlo::eval;
 use tpu_hlo::graph::BinaryKind;
-use tpu_hlo::passes::pipeline_for;
-use tpu_hlo::{CompilerOptions, Graph, OptLevel, Verifier};
+use tpu_hlo::passes::{pipeline_for, ConstantFold, Dce, FusionPass, Simplify};
+use tpu_hlo::{CompilerOptions, Graph, OptLevel, PassManager, Verifier};
 use tpu_numerics::activation::Activation;
 use tpu_numerics::DType;
 
@@ -148,23 +148,35 @@ proptest! {
         prop_assert_eq!(report.nodes_after, report.graph.nodes().len());
     }
 
-    /// Every opt level's pipeline upholds the same contract — O0's
-    /// empty pipeline included.
+    /// Every subset of the four passes, applied in pipeline order,
+    /// upholds the same contract: each case runs all 16 pass managers
+    /// (bit i of the mask keeps pass i), the four opt levels' pipelines
+    /// and the empty one among them.
     #[test]
-    fn every_opt_level_is_sound(g in dirty_chain(), level in 0u8..4) {
-        let level = match level {
-            0 => OptLevel::O0,
-            1 => OptLevel::O1,
-            2 => OptLevel::O2,
-            _ => OptLevel::O3,
-        };
-        let report = pipeline_for(&CompilerOptions::level(level))
-            .check_equivalence(0.0)
-            .run(&g)
-            .expect("gated pipeline");
-        Verifier::new().verify_graph(&report.graph).expect("verifies");
+    fn every_pass_subset_is_sound(g in dirty_chain()) {
         let (mxu_before, _) = live_flops(&g);
-        let (mxu_after, _) = live_flops(&report.graph);
-        prop_assert_eq!(mxu_after, mxu_before);
+        for mask in 0u8..16 {
+            let on = |bit: u8| mask & (1 << bit) != 0;
+            let mut pm = PassManager::new();
+            if on(0) {
+                pm = pm.with_pass(ConstantFold);
+            }
+            if on(1) {
+                pm = pm.with_pass(Simplify);
+            }
+            if on(2) {
+                pm = pm.with_pass(Dce);
+            }
+            if on(3) {
+                pm = pm.with_pass(FusionPass);
+            }
+            let report = pm
+                .check_equivalence(0.0)
+                .run(&g)
+                .unwrap_or_else(|e| panic!("mask {mask:04b}: {e}"));
+            Verifier::new().verify_graph(&report.graph).expect("verifies");
+            let (mxu_after, _) = live_flops(&report.graph);
+            prop_assert!(mxu_after == mxu_before, "mask {mask:04b}: MXU flops moved");
+        }
     }
 }

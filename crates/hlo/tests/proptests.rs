@@ -5,7 +5,7 @@ use proptest::prelude::*;
 use tpu_arch::catalog;
 use tpu_hlo::fusion::fuse;
 use tpu_hlo::memory;
-use tpu_hlo::{compile, CompilerOptions, Graph};
+use tpu_hlo::{compile, CompilerOptions, Graph, OptLevel};
 use tpu_numerics::activation::Activation;
 use tpu_numerics::DType;
 
@@ -83,21 +83,13 @@ proptest! {
         prop_assert_eq!(outputs, g.outputs().len());
     }
 
-    /// Disabling fusion never changes total matrix work, only VPU
-    /// round trips.
+    /// Fusion (what O1 adds to O0) never changes total matrix work,
+    /// only VPU round trips.
     #[test]
     fn fusion_preserves_matrix_work(g in random_chain()) {
         let chip = catalog::tpu_v4i();
-        let fused = compile(&g, &chip, &CompilerOptions::default()).unwrap();
-        let unfused = compile(
-            &g,
-            &chip,
-            &CompilerOptions {
-                fusion: false,
-                ..CompilerOptions::default()
-            },
-        )
-        .unwrap();
+        let fused = compile(&g, &chip, &CompilerOptions::level(OptLevel::O1)).unwrap();
+        let unfused = compile(&g, &chip, &CompilerOptions::level(OptLevel::O0)).unwrap();
         let mxu_flops = |exe: &tpu_hlo::Executable| -> u64 {
             exe.plan()
                 .steps()

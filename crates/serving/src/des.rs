@@ -980,7 +980,12 @@ pub fn simulate_fleet_samples(
 ) -> Result<(ServingReport, Vec<f64>), ConfigError> {
     cfg.validate()?;
     plan.validate(cfg.pool.servers)?;
-    Ok(Engine::new(latency, cfg, plan, NullSink, Vec::new()).run_with_samples())
+    let mut engine = Engine::new(latency, cfg, plan, NullSink, Vec::new());
+    engine.run_events();
+    // `finish` selects percentiles in the engine's own buffer, so the
+    // completion-order samples are copied out first.
+    let samples = engine.latencies.clone();
+    Ok((engine.finish(), samples))
 }
 
 /// What one cell epoch of the global fleet ([`crate::fleet`]) reads
@@ -1752,13 +1757,7 @@ impl<'a, S: EventSink> Engine<'a, S> {
         }
     }
 
-    fn run(self) -> ServingReport {
-        self.run_with_samples().0
-    }
-
-    /// [`Self::run`] plus the raw completion-latency samples (seconds,
-    /// in completion order, one per completed request).
-    fn run_with_samples(mut self) -> (ServingReport, Vec<f64>) {
+    fn run(mut self) -> ServingReport {
         self.run_events();
         self.finish()
     }
@@ -2008,13 +2007,14 @@ impl<'a, S: EventSink> Engine<'a, S> {
         (busy_total / (total_time * servers as f64)).clamp(0.0, 1.0)
     }
 
-    /// [`Self::settle`], then the report and the raw completion-latency
-    /// samples, in completion order.
-    fn finish(mut self) -> (ServingReport, Vec<f64>) {
+    /// [`Self::settle`], then the report. Its percentiles are selected
+    /// in the engine's completion-latency buffer itself, which is left
+    /// in an unspecified order.
+    fn finish(mut self) -> ServingReport {
         let dropped = self.settle();
-        let stats = LatencyStats::from_samples(&self.latencies);
+        let stats = LatencyStats::from_scratch(&mut self.latencies);
         let total_time = self.end_time.max(1e-12);
-        let report = ServingReport {
+        ServingReport {
             p50_s: stats.p50_s,
             p99_s: stats.p99_s,
             throughput_rps: self.completed as f64 / total_time,
@@ -2030,8 +2030,7 @@ impl<'a, S: EventSink> Engine<'a, S> {
             duration_s: self.end_time,
             stats,
             metrics: self.metrics,
-        };
-        (report, self.latencies)
+        }
     }
 }
 

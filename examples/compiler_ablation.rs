@@ -1,6 +1,8 @@
-//! Compiler ablation (Lesson 2 / E7): the same model, compiled with the
-//! optimization passes enabled one at a time — the "XLA gains over time"
-//! story, plus the backwards-ML-compatibility mode (Lesson 4 / E14).
+//! Compiler ablation (Lesson 2 / E7): the same model, compiled at each
+//! optimization level in turn — the "XLA gains over time" story — plus
+//! the backwards-ML-compatibility mode (Lesson 4 / E14). The levels are
+//! cumulative: O1 adds fusion to O0, O2 adds double buffering and
+//! constant folding, simplification and DCE, and O3 adds CMEM placement.
 //!
 //! ```text
 //! cargo run --release --example compiler_ablation

@@ -431,8 +431,11 @@ fn serving_engines_keep_their_work_counts() {
         ServingCount {
             name: "des-10k-requests",
             events: 12_750,
-            measured_allocations: 25,
-            measured_peak_bytes: 402_368,
+            // 25 and 402,368 while the engine's `finish` copied every
+            // completion sample into a scratch buffer to select its
+            // percentiles; the fleet configs below lost the same copy.
+            measured_allocations: 24,
+            measured_peak_bytes: 322_368,
             run: &|| {
                 let cfg = ServingConfig {
                     arrival_rate_rps: 5000.0,
@@ -448,8 +451,9 @@ fn serving_engines_keep_their_work_counts() {
         ServingCount {
             name: "fleet-expiry-20k",
             events: 25_645,
-            measured_allocations: 25,
-            measured_peak_bytes: 780_416,
+            // 25 and 780,416 with the copy.
+            measured_allocations: 24,
+            measured_peak_bytes: 658_240,
             run: &|| {
                 let r = simulate_fleet(&model, &expiry).expect("valid config");
                 r.metrics.events_processed.get()
@@ -458,8 +462,9 @@ fn serving_engines_keep_their_work_counts() {
         ServingCount {
             name: "fleet-chaos-20k",
             events: 31_403,
-            measured_allocations: 33,
-            measured_peak_bytes: 808_688,
+            // 33 and 808,688 with the copy.
+            measured_allocations: 32,
+            measured_peak_bytes: 648_688,
             run: &|| {
                 let r =
                     simulate_fleet_with_faults(&model, &chaos, &chaos_plan).expect("valid config");

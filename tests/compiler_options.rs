@@ -2,16 +2,16 @@
 //! compiles every zoo app and the plan simulates, on every catalog chip.
 
 use tpugen::arch::{catalog, Generation};
-use tpugen::hlo::passes::{Pass, Simplify};
-use tpugen::hlo::{compile, CompilerOptions};
+use tpugen::hlo::passes::{ConstantFold, FusionPass, Pass, Simplify};
+use tpugen::hlo::{compile, CompilerOptions, OptLevel, PassManager};
 use tpugen::sim::Simulator;
 use tpugen::workloads::zoo::{self, production_apps};
 
-/// Every combination of the six pass and placement booleans, three CMEM
-/// budgets (none, 0 and 128 MiB) and two accumulation modes (native,
-/// TPUv1 bit-exact) compiles each zoo app at batch 1 to `Ok`, and the
-/// plan simulates to `Ok`. Option sets rotate through the catalog chips
-/// so that every (app, chip) pair runs too.
+/// Every combination of the four opt levels, three CMEM budgets (none,
+/// 0 and 128 MiB) and two accumulation modes (native, TPUv1 bit-exact)
+/// compiles each zoo app at batch 1 to `Ok`, and the plan simulates to
+/// `Ok`. Option sets rotate through the catalog chips so that every
+/// (app, chip) pair runs too.
 #[test]
 fn every_option_set_compiles_and_simulates_every_zoo_app() {
     let chips = catalog::all_chips();
@@ -22,24 +22,18 @@ fn every_option_set_compiles_and_simulates_every_zoo_app() {
         .map(|app| app.build(1).expect("zoo apps build"))
         .collect();
     let mut sets = Vec::new();
-    for bits in 0..64u32 {
+    for level in OptLevel::ALL {
         for cmem_budget_override in [None, Some(0), Some(128 << 20)] {
             for bit_exact_with in [None, Some(Generation::TpuV1)] {
-                let on = |bit: u32| bits & (1 << bit) != 0;
                 sets.push(CompilerOptions {
-                    fusion: on(0),
-                    double_buffer: on(1),
-                    cmem: on(2),
-                    fold: on(3),
-                    dce: on(4),
-                    simplify: on(5),
+                    level,
                     cmem_budget_override,
                     bit_exact_with,
                 });
             }
         }
     }
-    assert_eq!(sets.len(), 384);
+    assert_eq!(sets.len(), 24);
 
     // Option sets fan out over the worker pool; each returns the
     // (chip, app) pairs it ran.
@@ -77,16 +71,16 @@ fn every_option_set_compiles_and_simulates_every_zoo_app() {
 /// and the pipeline reaches its fixpoint.
 #[test]
 fn simplify_without_dce_reaches_a_fixpoint() {
-    let options = CompilerOptions {
-        dce: false,
-        ..CompilerOptions::default()
-    };
+    // The O2 pipeline without its DCE pass.
+    let pipeline = PassManager::new()
+        .with_pass(ConstantFold)
+        .with_pass(Simplify)
+        .with_pass(FusionPass);
     for app in [zoo::bert0(), zoo::bert1()] {
         let graph = app.build(8).expect("zoo apps build");
-        for chip in catalog::all_chips() {
-            compile(&graph, &chip, &options)
-                .unwrap_or_else(|e| panic!("{} on {}: {e}", app.spec.name, chip.name));
-        }
+        pipeline
+            .run(&graph)
+            .unwrap_or_else(|e| panic!("{}: {e}", app.spec.name));
         let once = Simplify
             .run(&graph)
             .rewrite
