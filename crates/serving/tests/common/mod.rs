@@ -60,7 +60,6 @@ impl Fold {
             m.retries_exhausted,
             m.dropped_at_drain,
             m.failures_injected,
-            m.degrades_injected,
             m.failures_detected,
             m.failures_recovered,
             m.in_flight_failures,

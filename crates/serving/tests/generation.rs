@@ -310,7 +310,7 @@ fn decode_loop_reports_and_streams_are_pinned() {
     // The battery reaches the paths it claims to pin.
     assert!(queued && deferred && padded, "{queued} {deferred} {padded}");
     assert_eq!(
-        fold.0, 0x9dca_fbc0_8228_d745,
+        fold.0, 0xae5a_36ab_93a5_d3a5,
         "decode-loop pin moved: got {:#018x}",
         fold.0
     );
