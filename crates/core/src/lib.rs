@@ -288,7 +288,7 @@ impl ProfiledApp {
             deadline_s: Some(op.slo_s),
             shed_expired: true,
             queue_budget_s: Some(queue_budget),
-            queue_cap: Some(drainable.max(self.serving_batch as usize) * servers.max(1)),
+            queue_cap: Some(drainable.max(self.serving_batch as usize) * servers),
             retry: RetryPolicy {
                 max_retries: 1,
                 backoff_s: op.slo_s * 0.1,
@@ -460,7 +460,7 @@ impl ProfiledApp {
         ChaosPoint {
             operating_point: self.op.clone(),
             serving_batch: self.serving_batch,
-            servers: servers.max(1),
+            servers,
             load_factor,
             offered_rps,
             failover: plan.failover.enabled,
@@ -622,5 +622,12 @@ mod tests {
             plain.report.goodput_rps
         );
         assert!(shed.good_fraction() <= 1.0);
+        // Regression: a zero-replica fleet ran one server and returned
+        // `Ok` with `servers: 1`.
+        let none = profiled.chaos_point(0, 1.0, &FaultPlan::none(), 100, DEFAULT_SWEEP_SEED);
+        assert_eq!(
+            none,
+            Err(CoreError::Serving(ConfigError::ZeroServers.to_string()))
+        );
     }
 }

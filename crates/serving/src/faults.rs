@@ -8,36 +8,33 @@
 //!
 //! # Server lifecycle
 //!
-//! Every server in the fleet walks a five-state lifecycle:
+//! Every server in the fleet walks a three-state lifecycle:
 //!
 //! ```text
-//!        SlowDegrade            Crash / Hang
-//!   Up ───────────────▶ Degraded ───────────▶ Down
-//!    ▲                     │                   │
-//!    │                     │ window ends       │ MTTR elapses (crash)
-//!    │                     ▼                   │ or hang ends
-//!    │◀────────────────── Up                   ▼
-//!    └──────────────── Recovering ◀────────────┘
-//!         warmup elapses
+//!           Crash / Hang
+//!   Up ──────────────────▶ Down
+//!   ▲ ▲                     │
+//!   │ └───── hang ends ─────┤
+//!   │                       │ MTTR elapses (crash)
+//!   │                       ▼
+//!   └── warmup elapses ── Recovering
 //! ```
 //!
-//! - **Up**: healthy, serving at full speed.
-//! - **Degraded**: serving, but every batch runs `factor` times slower
-//!   (thermal throttling, a sick host). Health probes still pass — this
-//!   is the gray-failure mode that never trips failover.
+//! - **Up**: healthy, serving.
 //! - **Down**: a fail-stop [`FaultKind::Crash`] kills in-flight work
 //!   (those requests enter the `failed` terminal state, retryable per
 //!   policy) and strands the server's queue; a [`FaultKind::Hang`]
 //!   freezes the server — in-flight work resumes where it left off when
-//!   the hang clears.
-//! - **Recovering**: the machine is back but warming up (reloading
-//!   weights); it does not serve until the warmup elapses.
+//!   the hang clears, and the server is Up again at once.
+//! - **Recovering**: the machine is back from a crash but warming up
+//!   (reloading weights); it does not serve until the warmup elapses.
 //!
 //! # Failover
 //!
 //! With [`FailoverConfig::enabled`], a health checker probes every
-//! server each `probe_interval_s`. A server that is crashed — or hung
-//! longer than `probe_timeout_s` — is marked *believed down*: the router
+//! server each `probe_interval_s`. A server that is crashed (at the
+//! first probe after the crash) or hung for at least `probe_timeout_s`
+//! (at the first probe past that) is marked *believed down*: the router
 //! stops sending it new arrivals, and its stranded queue is drained and
 //! redistributed to surviving replicas (or shed if they are full —
 //! admission control sees the reduced capacity through the per-server
@@ -72,14 +69,6 @@ pub enum FaultKind {
         /// Freeze duration, seconds.
         duration_s: f64,
     },
-    /// Slow-degrade: service times multiply by `factor` for
-    /// `duration_s`. The server keeps passing health probes.
-    SlowDegrade {
-        /// Service-time multiplier (>= 1).
-        factor: f64,
-        /// Degradation window, seconds.
-        duration_s: f64,
-    },
 }
 
 impl FaultKind {
@@ -89,7 +78,6 @@ impl FaultKind {
         match self {
             FaultKind::Crash { .. } => "crash",
             FaultKind::Hang { .. } => "hang",
-            FaultKind::SlowDegrade { .. } => "slow_degrade",
         }
     }
 
@@ -97,8 +85,7 @@ impl FaultKind {
     ///
     /// # Errors
     ///
-    /// [`ConfigError`] for non-finite or non-positive durations, or a
-    /// degrade factor below 1.
+    /// [`ConfigError`] for non-finite or non-positive durations.
     pub fn validate(&self) -> Result<(), ConfigError> {
         match *self {
             FaultKind::Crash { mttr_s } => {
@@ -107,14 +94,6 @@ impl FaultKind {
                 }
             }
             FaultKind::Hang { duration_s } => {
-                if !duration_s.is_finite() || duration_s <= 0.0 {
-                    return Err(ConfigError::InvalidFaultDuration(duration_s));
-                }
-            }
-            FaultKind::SlowDegrade { factor, duration_s } => {
-                if !factor.is_finite() || factor < 1.0 {
-                    return Err(ConfigError::InvalidDegradeFactor(factor));
-                }
                 if !duration_s.is_finite() || duration_s <= 0.0 {
                     return Err(ConfigError::InvalidFaultDuration(duration_s));
                 }
@@ -128,9 +107,7 @@ impl FaultKind {
     pub fn impaired_s(&self) -> f64 {
         match *self {
             FaultKind::Crash { mttr_s } => mttr_s,
-            FaultKind::Hang { duration_s } | FaultKind::SlowDegrade { duration_s, .. } => {
-                duration_s
-            }
+            FaultKind::Hang { duration_s } => duration_s,
         }
     }
 }
@@ -190,7 +167,8 @@ pub struct FailoverConfig {
     pub enabled: bool,
     /// Seconds between health probes.
     pub probe_interval_s: f64,
-    /// A hang longer than this reads as a failure to the prober.
+    /// A hang that has lasted this long reads as a failure to the
+    /// prober. Crashes are detected at the next probe whatever this is.
     pub probe_timeout_s: f64,
     /// Warmup after a crash repair before the server serves again
     /// (weight reload); applies whether or not failover is enabled.
@@ -228,9 +206,11 @@ impl FailoverConfig {
         Ok(())
     }
 
-    /// The worst-case detection lag for a fail-stop crash: a full probe
-    /// interval (the crash lands right after a probe) plus the probe
-    /// timeout.
+    /// The worst-case detection lag of a hang: it is detected at the
+    /// first probe once it has lasted `probe_timeout_s`, so at most one
+    /// probe interval past the timeout. A fail-stop crash is detected at
+    /// the first probe after it, within `probe_interval_s`; the timeout
+    /// gates only hangs.
     pub fn worst_case_detection_s(&self) -> f64 {
         self.probe_interval_s + self.probe_timeout_s
     }
@@ -440,18 +420,6 @@ mod tests {
         assert!(matches!(
             p.validate(2),
             Err(ConfigError::InvalidProbeInterval(_))
-        ));
-        let bad_degrade = FaultPlan::scheduled(vec![ScheduledFault {
-            server: 0,
-            at_s: 0.1,
-            kind: FaultKind::SlowDegrade {
-                factor: 0.5,
-                duration_s: 1.0,
-            },
-        }]);
-        assert!(matches!(
-            bad_degrade.validate(1),
-            Err(ConfigError::InvalidDegradeFactor(_))
         ));
         let bad_hang = FaultPlan::scheduled(vec![ScheduledFault {
             server: 0,

@@ -23,9 +23,9 @@
 //! - [`genmodel`]: bounded prompt/output token-count distributions and
 //!   the per-request KV-cache footprint they imply;
 //! - [`faults`]: fault injection and failover — validated [`FaultPlan`]s
-//!   (fail-stop crashes, transient hangs, slow-degrades; scheduled or
-//!   MTBF/MTTR-driven), a server health lifecycle, and a health checker
-//!   that drains dead servers' queues onto surviving replicas;
+//!   (scheduled fail-stop crashes and transient hangs, plus
+//!   MTBF/MTTR-driven crashes), a server health lifecycle, and a health
+//!   checker that drains dead servers' queues onto surviving replicas;
 //! - [`metrics`]: the counters and histograms a serving fleet is
 //!   operated on (sheds, retries, batch sizes, per-server busy time);
 //! - [`stats`]: exact percentile computation over recorded latencies;
@@ -73,7 +73,7 @@ pub use des::{
     simulate, simulate_fleet, simulate_fleet_recorded, simulate_fleet_samples,
     simulate_fleet_with_faults, simulate_generation, simulate_generation_recorded, BatchingMode,
     ConfigError, FleetConfig, FleetPolicy, GenConfig, GenReport, PoolConfig, RetryPolicy,
-    ServingConfig, ServingReport, Stragglers,
+    ServingConfig, ServingReport,
 };
 pub use faults::{FailoverConfig, FaultKind, FaultPlan, MtbfFaults, ScheduledFault};
 pub use fleet::{

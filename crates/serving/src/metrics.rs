@@ -270,8 +270,6 @@ pub struct ServingMetrics {
     pub dropped_at_drain: Counter,
     /// Crash and hang faults injected into servers.
     pub failures_injected: Counter,
-    /// Slow-degrade faults injected into servers.
-    pub degrades_injected: Counter,
     /// Failures the health checker noticed (server pulled from rotation).
     pub failures_detected: Counter,
     /// Servers that came back up after a crash or hang.
@@ -338,7 +336,6 @@ impl ServingMetrics {
             retries_exhausted: Counter::default(),
             dropped_at_drain: Counter::default(),
             failures_injected: Counter::default(),
-            degrades_injected: Counter::default(),
             failures_detected: Counter::default(),
             failures_recovered: Counter::default(),
             in_flight_failures: Counter::default(),
@@ -396,7 +393,6 @@ impl ServingMetrics {
         self.retries_exhausted.add(other.retries_exhausted.get());
         self.dropped_at_drain.add(other.dropped_at_drain.get());
         self.failures_injected.add(other.failures_injected.get());
-        self.degrades_injected.add(other.degrades_injected.get());
         self.failures_detected.add(other.failures_detected.get());
         self.failures_recovered.add(other.failures_recovered.get());
         self.in_flight_failures.add(other.in_flight_failures.get());

@@ -1,12 +1,12 @@
 //! Property tests for the serving DES: statistical invariants that must
-//! hold for *any* valid configuration — with stragglers, multi-server
-//! pools, and overload policies in play.
+//! hold for *any* valid configuration — with multi-server pools,
+//! overload policies and faults in play.
 
 use proptest::prelude::*;
 
 use tpu_serving::des::{
     simulate_fleet, simulate_fleet_with_faults, ConfigError, FleetConfig, FleetPolicy, RetryPolicy,
-    ServingConfig, Stragglers,
+    ServingConfig,
 };
 use tpu_serving::faults::{FailoverConfig, FaultKind, FaultPlan, MtbfFaults, ScheduledFault};
 use tpu_serving::latency::LatencyModel;
@@ -22,15 +22,13 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
 
     /// Percentile ordering, bounded utilization, and throughput no
-    /// faster than the offered rate hold for any pool with stragglers.
+    /// faster than the offered rate hold for any pool.
     #[test]
     fn pool_invariants(
         rate in 100.0f64..30_000.0,
         max_batch in 1u64..64,
         servers in 2usize..=8,
         requests in 300usize..1500,
-        probability in 0.0f64..0.2,
-        factor in 1.0f64..8.0,
         seed in any::<u64>(),
     ) {
         let cfg = ServingConfig {
@@ -40,12 +38,8 @@ proptest! {
             requests,
             seed,
         };
-        let report = simulate_fleet(
-            &model(),
-            &FleetConfig::new(cfg.with_servers(servers))
-                .with_stragglers(Stragglers { probability, factor }),
-        )
-        .expect("generated config is valid");
+        let report = simulate_fleet(&model(), &FleetConfig::new(cfg.with_servers(servers)))
+            .expect("generated config is valid");
         // Everything completes without an overload policy.
         prop_assert_eq!(report.completed, requests);
         prop_assert!(report.conservation_holds());
@@ -66,13 +60,12 @@ proptest! {
     }
 
     /// The same seed and configuration reproduce the identical report,
-    /// straggler injection and fleet policy included.
+    /// fleet policy included.
     #[test]
     fn identical_seeds_reproduce_identical_reports(
         rate in 500.0f64..25_000.0,
         max_batch in 1u64..32,
         servers in 2usize..=8,
-        probability in 0.0f64..0.3,
         seed in any::<u64>(),
         deadline_ms in 5.0f64..50.0,
         cap in 8usize..256,
@@ -87,7 +80,6 @@ proptest! {
             }
             .with_servers(servers),
         )
-        .with_stragglers(Stragglers { probability, factor: 5.0 })
         .with_policy(FleetPolicy {
             deadline_s: Some(deadline_ms / 1e3),
             shed_expired: true,
@@ -146,8 +138,8 @@ proptest! {
     }
 
     /// The extended conservation invariant and the availability
-    /// accounting hold under arbitrary fault plans (scheduled crashes,
-    /// hangs, degrades, plus an MTBF stream), with failover on or off.
+    /// accounting hold under arbitrary fault plans (a scheduled crash or
+    /// hang, plus an MTBF crash stream), with failover on or off.
     #[test]
     fn conservation_and_accounting_under_faults(
         rate in 3_000.0f64..25_000.0,
@@ -158,7 +150,7 @@ proptest! {
         fault_seed in any::<u64>(),
         fault_server in 0usize..6,
         fault_at_ms in 0.0f64..200.0,
-        kind_pick in 0usize..3,
+        hang in any::<bool>(),
         mtbf_ms in 20.0f64..500.0,
         failover_on in any::<bool>(),
     ) {
@@ -183,10 +175,10 @@ proptest! {
             },
             ..FleetPolicy::default()
         });
-        let kind = match kind_pick {
-            0 => FaultKind::Crash { mttr_s: 0.02 },
-            1 => FaultKind::Hang { duration_s: 0.01 },
-            _ => FaultKind::SlowDegrade { factor: 3.0, duration_s: 0.05 },
+        let kind = if hang {
+            FaultKind::Hang { duration_s: 0.01 }
+        } else {
+            FaultKind::Crash { mttr_s: 0.02 }
         };
         let plan = FaultPlan {
             scheduled: vec![ScheduledFault {
@@ -213,7 +205,7 @@ proptest! {
         // oblivious fleet never detects anything.
         let injected = r.metrics.failures_injected.get();
         prop_assert!(r.metrics.failures_detected.get() <= injected);
-        prop_assert!(r.metrics.failures_recovered.get() <= injected + r.metrics.degrades_injected.get());
+        prop_assert!(r.metrics.failures_recovered.get() <= injected);
         if !failover_on {
             prop_assert_eq!(r.metrics.failures_detected.get(), 0);
         }

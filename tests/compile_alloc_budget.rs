@@ -435,7 +435,7 @@ fn serving_engines_keep_their_work_counts() {
             // completion sample into a scratch buffer to select its
             // percentiles; the fleet configs below lost the same copy.
             measured_allocations: 24,
-            measured_peak_bytes: 322_368,
+            measured_peak_bytes: 322_360,
             run: &|| {
                 let cfg = ServingConfig {
                     arrival_rate_rps: 5000.0,
@@ -453,7 +453,7 @@ fn serving_engines_keep_their_work_counts() {
             events: 25_645,
             // 25 and 780,416 with the copy.
             measured_allocations: 24,
-            measured_peak_bytes: 658_240,
+            measured_peak_bytes: 658_232,
             run: &|| {
                 let r = simulate_fleet(&model, &expiry).expect("valid config");
                 r.metrics.events_processed.get()
@@ -464,7 +464,7 @@ fn serving_engines_keep_their_work_counts() {
             events: 31_403,
             // 33 and 808,688 with the copy.
             measured_allocations: 32,
-            measured_peak_bytes: 648_688,
+            measured_peak_bytes: 648_400,
             run: &|| {
                 let r =
                     simulate_fleet_with_faults(&model, &chaos, &chaos_plan).expect("valid config");
@@ -487,8 +487,8 @@ fn serving_engines_keep_their_work_counts() {
             // 1,154 and 503,644 while the global layer copied every
             // completion sample into a per-cell and a global buffer
             // and computed a discarded `LatencyStats` per cell epoch.
-            measured_allocations: 1_087,
-            measured_peak_bytes: 316_884,
+            measured_allocations: 1_083,
+            measured_peak_bytes: 316_764,
             run: &|| {
                 let r = simulate_global(&model, &global).expect("valid config");
                 r.metrics.events_processed.get()
